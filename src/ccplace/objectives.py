@@ -7,8 +7,10 @@ between devices), routed net length, diffusion breaks, and dummy count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .netlist import Netlist
@@ -64,6 +66,37 @@ def dispersion(p: Placement) -> Fraction:
     return Fraction(2 * ok - n_edges, n_edges)
 
 
+@lru_cache(maxsize=None)
+def _wpe_weights(rows: int, cols: int) -> tuple[int, tuple[int, ...]]:
+    """(L, w): per-cell inverse-WPE terms scaled to integers by a common L.
+
+    ``w[i]`` is L/x + L/(cols+1-x) + L/y + L/(rows+1-y) for the cell at
+    row-major index i, with L = lcm(1..max(rows, cols)) so every term is
+    exact.
+    """
+    L = math.lcm(*range(1, max(rows, cols) + 1))
+    w = tuple(
+        L // x + L // (cols + 1 - x) + L // y + L // (rows + 1 - y)
+        for y in range(1, rows + 1)
+        for x in range(1, cols + 1)
+    )
+    return L, w
+
+
+def _wpe_sums(p: Placement) -> tuple[int, dict[str, int]]:
+    """(L, sums): each device's inverse-WPE total is ``sums[device] / L``."""
+    L, w = _wpe_weights(p.dims.rows, p.dims.cols)
+    sums: dict[str, int] = {}
+    for cell, wi in zip(p.cells, w):
+        if isinstance(cell, Unit):
+            sums[cell.device] = sums.get(cell.device, 0) + wi
+    return L, sums
+
+
+def _no_units(device: str) -> ValueError:
+    return ValueError(f"device {device!r} has no units in the placement")
+
+
 def inv_wpe(p: Placement, device: str) -> Fraction:
     """Inverse-distance proxy for the well-proximity shift of one device.
 
@@ -72,17 +105,10 @@ def inv_wpe(p: Placement, device: str) -> Fraction:
     the array edges.  The horizontal terms double as a diffusion-length
     proxy.
     """
-    r, c = p.dims.cols, p.dims.rows
-    total = Fraction(0)
-    found = False
-    for i, cell in enumerate(p.cells):
-        if isinstance(cell, Unit) and cell.device == device:
-            found = True
-            x, y = p.coord(i)
-            total += Fraction(1, x) + Fraction(1, r + 1 - x) + Fraction(1, y) + Fraction(1, c + 1 - y)
-    if not found:
-        raise ValueError(f"device {device!r} has no units in the placement")
-    return total
+    L, sums = _wpe_sums(p)
+    if device not in sums:
+        raise _no_units(device)
+    return Fraction(sums[device], L)
 
 
 def lde_mismatch(p: Placement, nl: Netlist) -> Fraction:
@@ -90,13 +116,24 @@ def lde_mismatch(p: Placement, nl: Netlist) -> Fraction:
 
     Zero exactly when all devices see the same mean edge proximity; a single
     device yields 0 by convention (empty pair sum).
+
+    Computed in integers over one common denominator L * M, where L is the
+    grid's ``lcm(1..max(rows, cols))`` (see ``inv_wpe``) and M the lcm of the
+    unit counts: device d's mean is ``sums[d] * (M / n_d) / (L * M)``, so the
+    exact ``Fraction`` comes from a single division.
     """
-    means = [inv_wpe(p, d.name) / d.unit_count for d in nl.devices]
-    total = Fraction(0)
-    for k in range(len(means)):
-        for l in range(k + 1, len(means)):
-            total += abs(means[k] - means[l])
-    return total
+    L, sums = _wpe_sums(p)
+    M = math.lcm(*(d.unit_count for d in nl.devices))
+    scaled = []
+    for d in nl.devices:
+        if d.name not in sums:
+            raise _no_units(d.name)
+        scaled.append(sums[d.name] * (M // d.unit_count))
+    scaled.sort()
+    k = len(scaled)
+    # sum over pairs of |a_i - a_j| for sorted a: each a_i enters 2i - k + 1 times
+    total = sum((2 * i - k + 1) * a for i, a in enumerate(scaled))
+    return Fraction(total, L * M)
 
 
 def evaluate(p: Placement, nl: Netlist, *, route_cache: dict | None = None) -> ObjectiveVector:

@@ -131,13 +131,44 @@ def _cell_to_json(c):
     return [c.device, c.index, c.flip]
 
 
-def _cell_from_json(v):
+def _field(doc: dict, key: str, where: str, kind, what: str):
+    """``doc[key]`` checked against ``kind``; a ValueError names the field."""
+    name = f"{where}.{key}" if where else key
+    if key not in doc:
+        raise ValueError(f"{name}: missing field")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name}: must be {what}, got {type(value).__name__}")
+    return value
+
+
+_NUMBER = (int, float)
+
+
+def _object(doc: dict, key: str, where: str = "") -> dict:
+    return _field(doc, key, where, dict, "an object")
+
+
+def _list(doc: dict, key: str, where: str = "") -> list:
+    return _field(doc, key, where, list, "a list")
+
+
+def _dims_from_json(doc: dict, where: str) -> GridDims:
+    rows, cols = (_field(doc, k, where, int, "a positive integer") for k in ("rows", "cols"))
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{where}: must be at least 1x1, got {rows}x{cols}")
+    return GridDims(rows, cols)
+
+
+def _cell_from_json(v, where: str):
     if v is None:
         return None
     if v == "dummy":
         return DUMMY
-    device, index, flip = v
-    return Unit(device, index, bool(flip))
+    if (isinstance(v, list) and len(v) == 3 and isinstance(v[0], str) and v[0]
+            and isinstance(v[1], int) and not isinstance(v[1], bool) and isinstance(v[2], bool)):
+        return Unit(v[0], v[1], v[2])
+    raise ValueError(f'{where}: must be null, "dummy" or [device, index, flip]')
 
 
 def _placement_to_json(p: Placement) -> dict:
@@ -148,9 +179,12 @@ def _placement_to_json(p: Placement) -> dict:
     }
 
 
-def _placement_from_json(doc: dict) -> Placement:
-    dims = GridDims(doc["rows"], doc["cols"])
-    return Placement(dims, tuple(_cell_from_json(c) for c in doc["cells"]))
+def _placement_from_json(doc: dict, where: str) -> Placement:
+    dims = _dims_from_json(doc, where)
+    cells = _list(doc, "cells", where)
+    if len(cells) != dims.cells:
+        raise ValueError(f"{where}.cells: expected {dims.cells} cells, got {len(cells)}")
+    return Placement(dims, tuple(_cell_from_json(c, f"{where}.cells[{i}]") for i, c in enumerate(cells)))
 
 
 def _objectives_to_json(o: ObjectiveVector) -> dict:
@@ -163,13 +197,13 @@ def _objectives_to_json(o: ObjectiveVector) -> dict:
     }
 
 
-def _objectives_from_json(doc: dict) -> ObjectiveVector:
+def _objectives_from_json(doc: dict, where: str) -> ObjectiveVector:
     return ObjectiveVector(
-        neg_dispersion=doc["neg_dispersion"],
-        lde_mismatch=doc["lde_mismatch"],
-        routing_cost=doc["routing_cost"],
-        diffusion_breaks=doc["diffusion_breaks"],
-        dummy_count=doc["dummy_count"],
+        neg_dispersion=_field(doc, "neg_dispersion", where, _NUMBER, "a number"),
+        lde_mismatch=_field(doc, "lde_mismatch", where, _NUMBER, "a number"),
+        routing_cost=_field(doc, "routing_cost", where, int, "an integer"),
+        diffusion_breaks=_field(doc, "diffusion_breaks", where, int, "an integer"),
+        dummy_count=_field(doc, "dummy_count", where, int, "an integer"),
     )
 
 
@@ -198,18 +232,36 @@ def report_to_json(r: RunReport, include_timing: bool = False) -> str:
 
 
 def report_from_json(text: str) -> RunReport:
-    doc = json.loads(text)
-    archive = [
-        Solution(_placement_from_json(e["placement"]), _objectives_from_json(e["objectives"]))
-        for e in doc["archive"]
-    ]
+    """Parse a report; a ValueError names the missing or ill-typed field."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("top level must be an object")
+    archive = []
+    for i, entry in enumerate(_list(doc, "archive")):
+        where = f"archive[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: must be an object")
+        archive.append(Solution(
+            _placement_from_json(_object(entry, "placement", where), f"{where}.placement"),
+            _objectives_from_json(_object(entry, "objectives", where), f"{where}.objectives"),
+        ))
+    ranges = []
+    for i, pair in enumerate(_list(doc, "objective_ranges")):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(b, _NUMBER) and not isinstance(b, bool) for b in pair)):
+            raise ValueError(f"objective_ranges[{i}]: must be a [low, high] pair of numbers")
+        ranges.append(tuple(pair))
     return RunReport(
-        seed=doc["seed"],
-        config=doc["config"],
-        dims=GridDims(doc["grid"]["rows"], doc["grid"]["cols"]),
-        netlist=doc["netlist"],
+        seed=_field(doc, "seed", "", int, "an integer"),
+        config=_object(doc, "config"),
+        dims=_dims_from_json(_object(doc, "grid"), "grid"),
+        netlist=_object(doc, "netlist"),
         archive=archive,
-        selected=doc["selected"],
-        ranges=[(lo, hi) for lo, hi in doc["objective_ranges"]],
-        wall_clock_s=doc.get("wall_clock_s"),
+        selected=_field(doc, "selected", "", int, "an integer"),
+        ranges=ranges,
+        wall_clock_s=(None if doc.get("wall_clock_s") is None
+                      else _field(doc, "wall_clock_s", "", _NUMBER, "a number")),
     )

@@ -1,9 +1,18 @@
 """Manhattan routing-length model: spanning tree via Prim, then an
-edge-based rectilinear Steiner improvement loop."""
+edge-based rectilinear Steiner improvement loop (Borah, Owens and Irwin,
+IEEE TCAD 1994).
+
+Each round of the loop scores every (tree edge, node) reconnection at once
+and applies the best.  Ties keep the scan-order rule: the first
+strictly-best positive gain in (edge, node) order wins, edges in tree-list
+order and nodes by index.  Seeded archives depend on that rule.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .netlist import Netlist
 from .placement import Placement
@@ -73,35 +82,31 @@ def rmst(pins) -> RoutingGraph:
 # ---------------------------------------------------------------------------
 
 
-def _adjacency(n_nodes, edges):
-    adj = [[] for _ in range(n_nodes)]
-    for ei, (u, v, w) in enumerate(edges):
-        adj[u].append((v, w, ei))
-        adj[v].append((u, w, ei))
-    return adj
+def _path_max(n_nodes, edges) -> np.ndarray:
+    """m[a, b]: largest edge weight on the unique tree path a..b.
+
+    Merges the tree's edges in weight order, as Kruskal would: the edge that
+    joins the components of a and b is the heaviest on their path, so each
+    merge fills one block of the matrix with its weight.
+    """
+    m = np.zeros((n_nodes, n_nodes), dtype=np.int64)
+    comp = np.arange(n_nodes)
+    members = list(np.arange(n_nodes)[:, None])
+    for u, v, w in sorted(edges, key=lambda e: e[2]):
+        cu, cv = comp[u], comp[v]
+        a, b = members[cu], members[cv]
+        m[a[:, None], b] = w  # one orientation; the transpose fills the other
+        comp[b] = cu
+        members[cu] = np.concatenate((a, b))
+    return np.maximum(m, m.T)
 
 
-def _path_max_matrix(n_nodes, adj):
-    """m[a][b]: largest edge weight on the unique tree path a..b."""
-    m = [[0] * n_nodes for _ in range(n_nodes)]
-    for s in range(n_nodes):
-        row = m[s]
-        seen = [False] * n_nodes
-        seen[s] = True
-        stack = [(s, 0)]
-        while stack:
-            v, mx = stack.pop()
-            for nbr, wt, _ in adj[v]:
-                if not seen[nbr]:
-                    seen[nbr] = True
-                    best = mx if mx > wt else wt
-                    row[nbr] = best
-                    stack.append((nbr, best))
-    return m
-
-
-def _rooted(n_nodes, adj):
+def _rooted(n_nodes, edges):
     """DFS from node 0: parents plus entry/exit stamps for subtree tests."""
+    adj = [[] for _ in range(n_nodes)]
+    for u, v, _ in edges:
+        adj[u].append(v)
+        adj[v].append(u)
     parent = [-1] * n_nodes
     tin = [0] * n_nodes
     tout = [0] * n_nodes
@@ -118,16 +123,12 @@ def _rooted(n_nodes, adj):
         tin[v] = timer
         timer += 1
         stack.append((v, True))
-        for nbr, _, _ in adj[v]:
+        for nbr in adj[v]:
             if not seen[nbr]:
                 seen[nbr] = True
                 parent[nbr] = v
                 stack.append((nbr, False))
     return parent, tin, tout
-
-
-def _in_subtree(tin, tout, root, x):
-    return tin[root] <= tin[x] and tout[x] <= tout[root]
 
 
 def _steiner_candidate(nodes, u, v, n) -> Point:
@@ -139,45 +140,47 @@ def _steiner_candidate(nodes, u, v, n) -> Point:
     return (px, py)
 
 
-def _trial_gain(nodes, n, u, v, pathmax, tin, tout, parent):
-    """Gain of hooking node n onto edge (u, v) via its rectangle point.
+def _trial_gains(nodes, edges) -> np.ndarray:
+    """Gain of hooking each node n onto each edge (u, v): an (edge, node) matrix.
 
-    Replacing (u, v) by (p, u), (p, v), (n, p) closes a cycle through n's
-    side of the split tree; the removable weight is the cycle's largest
-    edge, so the gain is that weight minus the new (n, p) connection.
-    Returns (gain, p) or None in the degenerate p == n case.
+    The hook goes through p, the point of the edge's bounding rectangle
+    closest to n.  Replacing (u, v) by (p, u), (p, v), (n, p) closes a cycle
+    through n's side of the split tree; the removable weight is the cycle's
+    largest edge, so the gain is that weight minus the new (n, p) connection.
+    Pairs where p coincides with n (which includes n in {u, v}) gain 0.
     """
-    p = _steiner_candidate(nodes, u, v, n)
-    if p == nodes[n]:
-        return None
-    d_np = manhattan(nodes[n], p)
-    child = v if parent[v] == u else u
-    other = u if child == v else v
-    s_end = child if _in_subtree(tin, tout, child, n) else other
-    cyc = max(d_np, manhattan(p, nodes[s_end]), pathmax[n][s_end])
-    return cyc - d_np, p
+    n_nodes = len(nodes)
+    xy = np.array(nodes, dtype=np.int64)
+    u, v, _ = np.array(edges, dtype=np.int64).T
+    parent, tin, tout = np.array(_rooted(n_nodes, edges))
+    xu, xv = xy[u][:, None, :], xy[v][:, None, :]
+    # p[e, n]: node n clipped into edge e's bounding rectangle
+    p = np.minimum(np.maximum(xy, np.minimum(xu, xv)), np.maximum(xu, xv))
+    d_np = np.abs(p - xy).sum(axis=2)
+    # s_end: the endpoint of (u, v) on n's side once the edge is cut.
+    child = np.where(parent[v] == u, v, u)[:, None]
+    other = (u + v)[:, None] - child
+    inside = (tin[child] <= tin) & (tout <= tout[child])
+    s_end = np.where(inside, child, other)
+    d_ps = np.abs(p - xy[s_end]).sum(axis=2)
+    pathmax = _path_max(n_nodes, edges)[np.arange(n_nodes), s_end]
+    gain = np.maximum(np.maximum(d_ps, pathmax), d_np) - d_np
+    gain[d_np == 0] = 0
+    return gain
 
 
 def _best_trial(nodes, edges):
-    """Scan all (edge, node) pairs; first strictly-best positive gain wins."""
+    """The (gain, edge_idx, node_idx) of the best positive-gain trial, or None.
+
+    ``np.argmax`` over the row-major matrix keeps the scan-order rule: the
+    first strictly-best gain in (edge, node) order wins.
+    """
     if len(edges) < 2:
         return None
-    n_nodes = len(nodes)
-    adj = _adjacency(n_nodes, edges)
-    pathmax = _path_max_matrix(n_nodes, adj)
-    parent, tin, tout = _rooted(n_nodes, adj)
-    best = None  # (gain, edge_idx, node_idx)
-    for ei, (u, v, _) in enumerate(edges):
-        for n in range(n_nodes):
-            if n == u or n == v:
-                continue
-            got = _trial_gain(nodes, n, u, v, pathmax, tin, tout, parent)
-            if got is None:
-                continue
-            gain, _ = got
-            if gain > 0 and (best is None or gain > best[0]):
-                best = (gain, ei, n)
-    return best
+    gain = _trial_gains(nodes, edges)
+    ei, n = divmod(int(np.argmax(gain)), len(nodes))
+    best = int(gain[ei, n])
+    return (best, ei, n) if best > 0 else None
 
 
 def _tree_path_edges(n_nodes, edges, skip_idx, src, dst):
@@ -256,13 +259,7 @@ def trial_add_steiner(g: RoutingGraph, n: int, edge: tuple[int, int]):
         raise ValueError(f"edge {edge} is not in the graph")
     if n == u or n == v:
         raise ValueError("node must not be an endpoint of the edge")
-    adj = _adjacency(len(g.nodes), g.edges)
-    pathmax = _path_max_matrix(len(g.nodes), adj)
-    parent, tin, tout = _rooted(len(g.nodes), adj)
-    got = _trial_gain(g.nodes, n, a, b, pathmax, tin, tout, parent)
-    if got is None:
-        return 0, g
-    gain, _ = got
+    gain = int(_trial_gains(g.nodes, g.edges)[ei, n])
     if gain <= 0:
         return gain, g
     nodes, edges = _apply_trial(list(g.nodes), list(g.edges), ei, n)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccplace import (
+    DUMMY,
     DeviceSpec,
     GridDims,
     Netlist,
@@ -111,6 +112,55 @@ def test_lde_only_topology_three_nonzero(pair_netlist, topologies):
     values = {k: lde_mismatch(p, pair_netlist) for k, p in topologies.items()}
     assert values[1] == values[2] == values[4] == 0
     assert values[3] == Fraction(5, 12)
+
+
+@st.composite
+def lde_cases(draw):
+    """A placement on a grid up to 8x8 with 1-4 devices of unequal unit
+    counts, empty cells and dummies, plus the netlist of what it holds."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    n_cells = rows * cols
+    n_dev = draw(st.integers(1, min(4, n_cells)))
+    labels = draw(st.lists(st.integers(-2, n_dev - 1), min_size=n_cells, max_size=n_cells))
+    firsts = draw(st.lists(st.integers(0, n_cells - 1), min_size=n_dev, max_size=n_dev, unique=True))
+    for d, i in enumerate(firsts):
+        labels[i] = d
+    counts = [0] * n_dev
+    cells = []
+    for lab in labels:
+        if lab == -1:
+            cells.append(None)
+        elif lab == -2:
+            cells.append(DUMMY)
+        else:
+            cells.append(Unit(f"M{lab}", counts[lab]))
+            counts[lab] += 1
+    nl = Netlist(tuple(DeviceSpec(f"M{d}", n, "G", "S", "D") for d, n in enumerate(counts)))
+    return Placement(GridDims(rows, cols), tuple(cells)), nl
+
+
+@given(lde_cases())
+@settings(deadline=None, max_examples=300)
+def test_lde_matches_textbook_fraction_sums(case):
+    p, nl = case
+    r, c = p.dims.cols, p.dims.rows
+    means = []
+    for d in nl.devices:
+        total = Fraction(0)
+        for i, cell in enumerate(p.cells):
+            if isinstance(cell, Unit) and cell.device == d.name:
+                x, y = i % r + 1, i // r + 1
+                total += Fraction(1, x) + Fraction(1, r + 1 - x) + Fraction(1, y) + Fraction(1, c + 1 - y)
+        assert inv_wpe(p, d.name) == total
+        means.append(total / d.unit_count)
+    expected = sum(
+        (abs(means[k] - means[m]) for k in range(len(means)) for m in range(k + 1, len(means))),
+        Fraction(0),
+    )
+    got = lde_mismatch(p, nl)
+    assert isinstance(got, Fraction)
+    assert got == expected
+    assert float(got) == float(expected)
 
 
 # -- evaluate ---------------------------------------------------------------

@@ -196,6 +196,64 @@ def test_cli_render_subcommand(netlist_file, tmp_path, capsys):
     assert main(["render", str(out), "--solution", "999"]) == 1
 
 
+def _placed_report(netlist_file, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["place", str(netlist_file), "--seed", "3", *FAST, "--out", str(out)]) == 0
+    return out, json.loads(out.read_text())
+
+
+def _render_error(path, capsys):
+    capsys.readouterr()
+    assert main(["render", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_cli_render_report_without_archive(netlist_file, tmp_path, capsys):
+    out, doc = _placed_report(netlist_file, tmp_path)
+    del doc["archive"]
+    out.write_text(json.dumps(doc))
+    assert "archive" in _render_error(out, capsys)
+
+
+def test_cli_render_report_with_bad_cell(netlist_file, tmp_path, capsys):
+    out, doc = _placed_report(netlist_file, tmp_path)
+    doc["archive"][0]["placement"]["cells"][2] = ["A", "one", False]
+    out.write_text(json.dumps(doc))
+    assert "archive[0].placement.cells[2]" in _render_error(out, capsys)
+
+
+_BAD_REPORTS = [
+    (lambda d: d.pop("seed"), "seed"),
+    (lambda d: d.update(grid={"rows": 0, "cols": 4}), "grid"),
+    (lambda d: d.update(archive={}), "archive"),
+    (lambda d: d["archive"][0].pop("objectives"), "archive[0].objectives"),
+    (lambda d: d["archive"][0]["objectives"].update(routing_cost="7"),
+     "archive[0].objectives.routing_cost"),
+    (lambda d: d["archive"][0]["placement"].update(cells=[]), "archive[0].placement.cells"),
+    (lambda d: d.update(objective_ranges=[[0, 1, 2]]), "objective_ranges[0]"),
+]
+
+
+@pytest.mark.parametrize("edit, field", _BAD_REPORTS, ids=[f for _, f in _BAD_REPORTS])
+def test_report_from_json_names_the_field(pair_netlist, pair_dims, edit, field):
+    doc = json.loads(report_to_json(small_report(pair_netlist, pair_dims)))
+    edit(doc)
+    with pytest.raises(ValueError) as info:
+        report_from_json(json.dumps(doc))
+    assert str(info.value).startswith(field)
+
+
+def test_report_from_json_rejects_non_json():
+    with pytest.raises(ValueError, match="invalid JSON"):
+        report_from_json("{not json")
+    with pytest.raises(ValueError, match="top level"):
+        report_from_json("[]")
+
+
 def test_cli_place_weights_flag(netlist_file, tmp_path):
     out = tmp_path / "r.json"
     rc = main(["place", str(netlist_file), "--seed", "3", *FAST,

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -113,6 +115,29 @@ def test_steiner_keeps_pin_count():
     g = steiner_improve(rmst([(0, 0), (4, 0), (2, 2), (2, 4)]))
     assert g.n_pins == 4
     assert all(g.is_pin(i) == (i < 4) for i in range(len(g.nodes)))
+
+
+def _exactness_pin_sets():
+    """200 seeded pin sets: 2-64 pins on 3x3, 6x6, 8x8 and 4x16 grids."""
+    rng = random.Random(20240700)
+    for rows, cols in ((3, 3), (6, 6), (8, 8), (4, 16)):
+        cells = [(x, y) for y in range(1, rows + 1) for x in range(1, cols + 1)]
+        for _ in range(50):
+            yield sorted(rng.sample(cells, rng.randint(2, min(64, len(cells)))))
+
+
+def test_steiner_exact_path_is_pinned():
+    # Seeded archives depend on the exact trees, not only their lengths: the
+    # digest covers every node and edge of each improved tree, so any change
+    # to the move sequence or the tie rule shows up here.
+    h = hashlib.sha256()
+    n = 0
+    for pins in _exactness_pin_sets():
+        g = steiner_improve(rmst(pins))
+        h.update(json.dumps([g.nodes, g.edges]).encode())
+        n += 1
+    assert n == 200
+    assert h.hexdigest() == "6bf56d0b12c747f4b970a55a26e093567138fd84d97ad34220c400a22da08513"
 
 
 # -- routing_cost -------------------------------------------------------------
