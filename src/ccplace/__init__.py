@@ -61,7 +61,6 @@ from .placement import (
     GridDims,
     Placement,
     PlacementError,
-    Unit,
     break_positions,
     check_cc,
     count_diffusion_breaks,

@@ -20,7 +20,6 @@ from .placement import (
     GridDims,
     Placement,
     PlacementError,
-    Unit,
     count_diffusion_breaks,
     enumerate_perturbations,
     transform_xx180,
@@ -34,9 +33,7 @@ class SaConfig:
     """Annealing schedule, admissibility bounds, and selection weights.
 
     ``db_max`` / ``dummy_max`` of None bound candidates at the initial
-    placement's own counts.  ``original_accept`` switches to the classic
-    temperature-multiplied acceptance formula; it exists only for
-    comparison runs.
+    placement's own counts.
     """
 
     t_max: float = 100.0
@@ -47,19 +44,19 @@ class SaConfig:
     dummy_max: int | None = None
     seed: int = 0
     selection_weights: tuple[float, float, float, float, float] = DEFAULT_SELECTION_WEIGHTS
-    original_accept: bool = False
 
     def __post_init__(self) -> None:
-        if not (0 < self.t_min < self.t_max):
-            raise ValueError(f"need 0 < t_min < t_max, got t_min={self.t_min}, t_max={self.t_max}")
+        if not (0 < self.t_min < self.t_max < math.inf):
+            raise ValueError(f"need 0 < t_min < t_max < inf, got t_min={self.t_min}, t_max={self.t_max}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"cooling rate must be in (0, 1), got {self.alpha}")
         if self.iters_per_temp < 1:
             raise ValueError(f"iters_per_temp must be positive, got {self.iters_per_temp}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if len(self.selection_weights) != 5 or any(w < 0 for w in self.selection_weights):
-            raise ValueError("selection_weights must be five non-negative reals")
+        if len(self.selection_weights) != 5 or not all(0 <= w < math.inf for w in self.selection_weights):
+            raise ValueError(f"selection_weights must be five finite non-negative reals, "
+                             f"got {self.selection_weights}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,7 @@ class Archive:
     def insert(self, sol: Solution) -> bool:
         """Admit ``sol`` unless dominated; evict members it dominates.
 
-        Exact duplicates (same label grid and same vector) are rejected;
+        Exact duplicates (same cells and same vector) are rejected;
         distinct placements with equal vectors coexist.
         """
         vec = sol.objectives
@@ -104,9 +101,9 @@ class Archive:
                     self.removed.append(s.objectives)
                 continue
             kept.append(s)
-        grid = sol.placement.label_grid()
+        cells = sol.placement.cells
         for s in kept:
-            if s.objectives == vec and s.placement.label_grid() == grid:
+            if s.objectives == vec and s.placement.cells == cells:
                 self._solutions = kept
                 return False
         kept.append(sol)
@@ -114,7 +111,7 @@ class Archive:
         return True
 
 
-def accept_probability(delta_avg: float, temp: float, original: bool = False) -> float:
+def accept_probability(delta_avg: float, temp: float) -> float:
     """Probability of adopting a candidate from the dominated side.
 
     0.5 at zero average domination, decreasing with the gap; high
@@ -123,7 +120,7 @@ def accept_probability(delta_avg: float, temp: float, original: bool = False) ->
     """
     if temp <= 0:
         raise ValueError(f"temperature must be positive, got {temp}")
-    x = delta_avg * temp if original else delta_avg / temp
+    x = delta_avg / temp
     if x > 700.0:
         return 0.0
     return 1.0 / (1.0 + math.exp(x))
@@ -153,7 +150,7 @@ def delta_dom_avg(cur: Solution, new_pts, archive, ranges: ObjectiveRanges) -> f
     return total / count
 
 
-def _choose_next(cur, new_pts, archive, ranges, temp, rng, original_accept):
+def _choose_next(cur, new_pts, archive, ranges, temp, rng):
     """Resolve the next current point from a non-dominated candidate set.
 
     Candidates dominating the current point win unconditionally; otherwise a
@@ -174,7 +171,7 @@ def _choose_next(cur, new_pts, archive, ranges, temp, rng, original_accept):
         avg = delta_dom_avg(cur, new_pts, archive, ranges)
     except ValueError:
         avg = 0.0  # no domination relations at all: neutral exploration
-    if rng.random() < accept_probability(avg, temp, original_accept):
+    if rng.random() < accept_probability(avg, temp):
         return pick
     return cur
 
@@ -205,11 +202,10 @@ class CcAnnealer:
         self.archive.insert(self.initial)
 
     def evaluate(self, placement: Placement) -> ObjectiveVector:
-        key = placement.label_grid()
-        vec = self._eval_cache.get(key)
+        vec = self._eval_cache.get(placement.cells)
         if vec is None:
             vec = evaluate(placement, self.netlist, route_cache=self._route_cache)
-            self._eval_cache[key] = vec
+            self._eval_cache[placement.cells] = vec
         return vec
 
     def step(self, cur: Solution, temp: float, rng) -> Solution:
@@ -227,8 +223,7 @@ class CcAnnealer:
             s for s in evaluated
             if not any(dominates(o.objectives, s.objectives) for o in evaluated if o is not s)
         ]
-        nxt = _choose_next(cur, new_pts, self.archive, self.ranges, temp, rng,
-                           self.cfg.original_accept)
+        nxt = _choose_next(cur, new_pts, self.archive, self.ranges, temp, rng)
         for s in new_pts:
             self.archive.insert(s)
         return nxt
@@ -256,10 +251,11 @@ class CcAnnealer:
 def initial_placement(nl: Netlist, dims: GridDims, evaluate_fn=None) -> Solution:
     """Mirrored sequential construction minimising diffusion breaks.
 
-    Units of each device are grouped; the device order is chosen by
-    exhaustive permutation (up to 8 devices, tiny at these sizes) or a
-    greedy shared-terminal chain beyond that.  Half the units fill the grid
-    sequentially, the other half is their 180-degree rotation, so the
+    Units of each device are grouped; the device order is the first one
+    with the fewest breaks over every permutation (up to 8 devices; the scan
+    stops at the first order without breaks, which no later order can beat)
+    or a greedy shared-terminal chain beyond that.  Half the units fill the
+    grid sequentially, the other half is their 180-degree rotation, so the
     result is always common-centroid.
 
     A device with an odd unit count needs a grid with a true centre cell
@@ -287,23 +283,24 @@ def initial_placement(nl: Netlist, dims: GridDims, evaluate_fn=None) -> Solution
         breaks = count_diffusion_breaks(p, nl)
         if best is None or breaks < best[0]:
             best = (breaks, p)
+            if breaks == 0:
+                break
     placement = best[1]
     vec = evaluate_fn(placement) if evaluate_fn is not None else evaluate(placement, nl)
     return Solution(placement, vec)
 
 
 def _mirrored_fill(order, dims: GridDims) -> Placement:
-    half: list[Unit] = []
-    centre_unit = None
+    half: list[str] = []
+    centre = None
     for d in order:
-        m = d.unit_count // 2
-        half.extend(Unit(d.name, k) for k in range(m))
+        half.extend([d.name] * (d.unit_count // 2))
         if d.unit_count % 2:
-            centre_unit = Unit(d.name, d.unit_count - 1)
+            centre = d.name
     p = transform_xx180(half, dims)
-    if centre_unit is not None:
+    if centre is not None:
         cells = list(p.cells)
-        cells[(dims.cells - 1) // 2] = centre_unit
+        cells[(dims.cells - 1) // 2] = centre
         p = Placement(dims, tuple(cells))
     return p
 

@@ -50,10 +50,11 @@ def _resolve_seed(arg_seed) -> int:
 def _add_anneal_flags(sub):
     sub.add_argument("--seed", type=int, default=None,
                      help="RNG seed (falls back to CCPLACE_SEED, then 0)")
-    sub.add_argument("--tmax", type=float, default=100.0, help="initial temperature")
-    sub.add_argument("--tmin", type=float, default=1e-7, help="final temperature")
-    sub.add_argument("--alpha", type=float, default=0.37, help="geometric cooling rate")
-    sub.add_argument("--iters", type=int, default=100, help="iterations per temperature level")
+    sub.add_argument("--tmax", type=float, default=SaConfig.t_max, help="initial temperature")
+    sub.add_argument("--tmin", type=float, default=SaConfig.t_min, help="final temperature")
+    sub.add_argument("--alpha", type=float, default=SaConfig.alpha, help="geometric cooling rate")
+    sub.add_argument("--iters", type=int, default=SaConfig.iters_per_temp,
+                     help="iterations per temperature level")
 
 
 def build_parser() -> argparse.ArgumentParser:

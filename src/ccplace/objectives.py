@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .netlist import Netlist
-from .placement import Placement, Unit, count_diffusion_breaks, count_dummies
+from .placement import Placement, count_diffusion_breaks, count_dummies
 from .routing import routing_cost
 
 OBJECTIVE_NAMES = ("neg_dispersion", "lde_mismatch", "routing_cost", "diffusion_breaks", "dummy_count")
@@ -52,16 +52,16 @@ def dispersion(p: Placement) -> Fraction:
         raise ValueError("dispersion is undefined on a 1x1 grid")
     ok = 0
     for i, c in enumerate(p.cells):
-        if not isinstance(c, Unit):
+        if not isinstance(c, str):
             continue
         x, y = p.coord(i)
         if x < cols:
             right = p.cells[i + 1]
-            if isinstance(right, Unit) and right.device != c.device:
+            if isinstance(right, str) and right != c:
                 ok += 1
         if y < rows:
             below = p.cells[i + cols]
-            if isinstance(below, Unit) and below.device != c.device:
+            if isinstance(below, str) and below != c:
                 ok += 1
     return Fraction(2 * ok - n_edges, n_edges)
 
@@ -88,8 +88,8 @@ def _wpe_sums(p: Placement) -> tuple[int, dict[str, int]]:
     L, w = _wpe_weights(p.dims.rows, p.dims.cols)
     sums: dict[str, int] = {}
     for cell, wi in zip(p.cells, w):
-        if isinstance(cell, Unit):
-            sums[cell.device] = sums.get(cell.device, 0) + wi
+        if isinstance(cell, str):
+            sums[cell] = sums.get(cell, 0) + wi
     return L, sums
 
 

@@ -1,8 +1,10 @@
 """Deliberately naive reference implementations for certifying the fast paths.
 
 Everything here trades speed for obviousness: explicit edge lists, exhaustive
-candidate-point search, full enumeration.  Inputs beyond the budget are
-refused rather than ground through.
+candidate-point search, full enumeration.  Placements are grids of device
+names, as everywhere in the package; the common-centroid test in
+``cc_enumerate`` is written out inline rather than shared with the search.
+Inputs beyond the budget are refused rather than ground through.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .netlist import Netlist
-from .placement import GridDims, Placement, Unit
+from .placement import GridDims, Placement
 
 
 class OracleBudgetError(ValueError):
@@ -47,7 +49,7 @@ def dispersion_oracle(p: Placement, budget: OracleBudget = DEFAULT_BUDGET) -> Fr
     ok = 0
     for a, b in edges:
         ca, cb = p.at(*a), p.at(*b)
-        if isinstance(ca, Unit) and isinstance(cb, Unit) and ca.device != cb.device:
+        if isinstance(ca, str) and isinstance(cb, str) and ca != cb:
             ok += 1
     return Fraction(2 * ok - len(edges), len(edges))
 
@@ -128,8 +130,8 @@ def steiner_oracle(pins, budget: OracleBudget = DEFAULT_BUDGET) -> int:
 
 
 def cc_enumerate(nl: Netlist, dims: GridDims, budget: OracleBudget = DEFAULT_BUDGET) -> list[Placement]:
-    """Every common-centroid device-label grid, one canonical unit indexing
-    each (indices run row-major per device, flips false)."""
+    """Every common-centroid device-label grid, in lexicographic order of the
+    netlist's device order (empty cells last)."""
     if dims.cells > budget.max_cells:
         raise OracleBudgetError(f"{dims.cells} cells exceed the {budget.max_cells}-cell budget")
     total = nl.total_units
@@ -160,16 +162,7 @@ def cc_enumerate(nl: Netlist, dims: GridDims, budget: OracleBudget = DEFAULT_BUD
             acc[1] += y + 1
             acc[2] += 1
         if all(2 * sx == n * cols1 and 2 * sy == n * rows1 for sx, sy, n in sums.values()):
-            next_idx: dict[str, int] = {}
-            cells = []
-            for label in labels:
-                if label is None:
-                    cells.append(None)
-                else:
-                    k = next_idx.get(label, 0)
-                    next_idx[label] = k + 1
-                    cells.append(Unit(label, k))
-            out.append(Placement(dims, tuple(cells)))
+            out.append(Placement(dims, labels))
     return out
 
 
@@ -213,9 +206,8 @@ def pattern_classes(placements, nl: Netlist) -> list[list[Placement]]:
 
     groups: dict[tuple, list[Placement]] = {}
     for p in placements:
-        grid = p.label_grid()
         key = min(
-            tuple(mapping.get(lbl, lbl) if isinstance(lbl, str) else "" for lbl in grid)
+            tuple(mapping.get(lbl, lbl) if isinstance(lbl, str) else "" for lbl in p.cells)
             for mapping in perm_maps
         )
         groups.setdefault(key, []).append(p)

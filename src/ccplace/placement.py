@@ -1,13 +1,16 @@
 """Placement grid for common-centroid unit arrays.
 
-Cells hold device units, dummies, or nothing.  Coordinates are 1-based:
-``x`` is the column (1..cols, left to right), ``y`` the row (1..rows, top to
-bottom).  Every operation returns a new placement; nothing mutates in place,
-so values are safe to share between workers.
+A cell holds the name of the device whose unit sits there, a dummy, or
+nothing.  Units of one device are interchangeable: every objective reads
+only which device occupies each cell, so placements carry no unit identity.
+Coordinates are 1-based: ``x`` is the column (1..cols, left to right), ``y``
+the row (1..rows, top to bottom).  Every operation returns a new placement;
+nothing mutates in place, so values are safe to share between workers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,28 +36,14 @@ class GridDims:
 
 
 @dataclass(frozen=True)
-class Unit:
-    """One unit transistor of a device.
-
-    ``flip`` mirrors the source/drain orientation.  Sharing tests quantify
-    over both orientations of a unit, so the stored flag is carried through
-    transformations but never consulted by the objectives.
-    """
-
-    device: str
-    index: int
-    flip: bool = False
-
-
-@dataclass(frozen=True)
 class Dummy:
     """Non-functional filler unit; shares diffusion with any neighbour."""
 
 
 DUMMY = Dummy()
 
-# Empty cells are stored as None.
-Cell = Unit | Dummy | None
+# A unit cell holds its device's name; empty cells are stored as None.
+Cell = str | Dummy | None
 
 
 @dataclass(frozen=True)
@@ -87,38 +76,26 @@ class Placement:
 
     # -- views --------------------------------------------------------------
 
-    def label_grid(self) -> tuple:
-        """Device name per cell (DUMMY / None for fillers).
-
-        Unit indices and flips are deliberately excluded: no objective
-        depends on them, so this is the right key for caches and equality
-        of topologies.
-        """
-        return tuple(
-            c.device if isinstance(c, Unit) else (DUMMY if isinstance(c, Dummy) else None)
-            for c in self.cells
-        )
-
     def unit_positions(self) -> dict[str, list[tuple[int, int]]]:
         pos: dict[str, list[tuple[int, int]]] = {}
         for i, c in enumerate(self.cells):
-            if isinstance(c, Unit):
-                pos.setdefault(c.device, []).append(self.coord(i))
+            if isinstance(c, str):
+                pos.setdefault(c, []).append(self.coord(i))
         return pos
 
     def validate(self, nl: Netlist) -> None:
-        """Check that exactly the netlist's unit multiset is placed."""
-        expected = {(d.name, k) for d in nl.devices for k in range(d.unit_count)}
-        got = [(c.device, c.index) for c in self.cells if isinstance(c, Unit)]
-        if len(got) != len(set(got)):
-            dup = next(u for u in got if got.count(u) > 1)
-            raise PlacementError(f"unit {dup} placed more than once")
-        missing = expected - set(got)
-        if missing:
-            raise PlacementError(f"unit {sorted(missing)[0]} is not placed")
-        extra = set(got) - expected
+        """Check that every netlist device has exactly its unit count placed
+        and that no other device appears."""
+        got = Counter(c for c in self.cells if isinstance(c, str))
+        for d in nl.devices:
+            if got[d.name] != d.unit_count:
+                raise PlacementError(
+                    f"device {d.name!r}: {got[d.name]} units placed, the netlist has {d.unit_count}"
+                )
+        known = {d.name for d in nl.devices}
+        extra = sorted(name for name in got if name not in known)
         if extra:
-            raise PlacementError(f"unit {sorted(extra)[0]} does not belong to the netlist")
+            raise PlacementError(f"device {extra[0]!r} does not belong to the netlist")
 
 
 @dataclass(frozen=True)
@@ -130,35 +107,36 @@ class CentroidReport:
     is_cc: bool
 
 
+def _centroid_sums(p: Placement) -> tuple[dict[str, list[int]], bool]:
+    """The common-centroid rule, in integers.
+
+    Returns per device [sum of x, sum of y, unit count] and whether every
+    device's centroid sits at the array centre, i.e. 2*sum == n*(size+1) on
+    both axes.  The perturbation filter reads only the flag; ``check_cc``
+    turns the sums into exact centroids.
+    """
+    cols = p.dims.cols
+    sums: dict[str, list[int]] = {}
+    for i, c in enumerate(p.cells):
+        if isinstance(c, str):
+            y, x = divmod(i, cols)
+            acc = sums.get(c)
+            if acc is None:
+                sums[c] = [x + 1, y + 1, 1]
+            else:
+                acc[0] += x + 1
+                acc[1] += y + 1
+                acc[2] += 1
+    cols1, rows1 = cols + 1, p.dims.rows + 1
+    return sums, all(2 * sx == n * cols1 and 2 * sy == n * rows1 for sx, sy, n in sums.values())
+
+
 def check_cc(p: Placement) -> CentroidReport:
     """Compute each device's (mean column, mean row) in exact rationals."""
-    sums: dict[str, list[int]] = {}
-    for i, c in enumerate(p.cells):
-        if isinstance(c, Unit):
-            x, y = p.coord(i)
-            acc = sums.setdefault(c.device, [0, 0, 0])
-            acc[0] += x
-            acc[1] += y
-            acc[2] += 1
+    sums, is_cc = _centroid_sums(p)
     center = (Fraction(p.dims.cols + 1, 2), Fraction(p.dims.rows + 1, 2))
     centroids = {d: (Fraction(sx, n), Fraction(sy, n)) for d, (sx, sy, n) in sums.items()}
-    return CentroidReport(centroids, center, all(c == center for c in centroids.values()))
-
-
-def _is_cc(p: Placement) -> bool:
-    # Integer-only fast path equivalent to check_cc(p).is_cc; keeps the
-    # perturbation filter off Fraction arithmetic.
-    cols1 = p.dims.cols + 1
-    rows1 = p.dims.rows + 1
-    sums: dict[str, list[int]] = {}
-    for i, c in enumerate(p.cells):
-        if isinstance(c, Unit):
-            x, y = p.coord(i)
-            acc = sums.setdefault(c.device, [0, 0, 0])
-            acc[0] += x
-            acc[1] += y
-            acc[2] += 1
-    return all(2 * sx == n * cols1 and 2 * sy == n * rows1 for sx, sy, n in sums.values())
+    return CentroidReport(centroids, center, is_cc)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +166,9 @@ def break_positions(p: Placement, nl: Netlist) -> frozenset[tuple[int, int]]:
                 prev = _SHARES_ANY
                 continue
             try:
-                terms = nets[cell.device]
+                terms = nets[cell]
             except KeyError:
-                raise PlacementError(f"device {cell.device!r} is not in the netlist") from None
+                raise PlacementError(f"device {cell!r} is not in the netlist") from None
             if prev is not None and prev is not _SHARES_ANY and not (prev & terms):
                 out.add((x - 1, y))
             prev = terms
@@ -254,7 +232,7 @@ def swap_mirrored(p: Placement, a: tuple[int, int], b: tuple[int, int]) -> Place
     for pos, i in ((a, ia), (b, ib)):
         if i >= half:
             raise PlacementError(f"position {pos} is not in the first half of the grid")
-        if not isinstance(p.cells[i], Unit):
+        if not isinstance(p.cells[i], str):
             raise PlacementError(f"position {pos} does not hold a unit")
     cells = list(p.cells)
     ja, jb = p.rot180_index(ia), p.rot180_index(ib)
@@ -264,44 +242,20 @@ def swap_mirrored(p: Placement, a: tuple[int, int], b: tuple[int, int]) -> Place
 
 
 def transform_xx180(half, dims: GridDims) -> Placement:
-    """Fill the first ``len(half)`` cells with the given units and the last
-    ``len(half)`` with their 180-degree rotation, keeping device labels.
+    """Fill the first ``len(half)`` cells with the given device names and the
+    last ``len(half)`` with their 180-degree rotation.
 
-    ``half`` entries are Units or bare device names (auto-indexed in order
-    of appearance).  Per device the half must carry unit indices 0..m-1; the
-    rotated copy receives m..2m-1.  Any slack sits in the middle of the
-    grid, which is its own 180-degree image, so the result is
-    common-centroid for every device by construction.
+    Any slack sits in the middle of the grid, which is its own 180-degree
+    image, so the result is common-centroid for every device by construction.
     """
-    norm: list[Unit] = []
-    auto: dict[str, int] = {}
-    for u in half:
-        if isinstance(u, str):
-            k = auto.get(u, 0)
-            auto[u] = k + 1
-            norm.append(Unit(u, k))
-        elif isinstance(u, Unit):
-            norm.append(u)
-        else:
-            raise PlacementError(f"half entries must be Unit or device name, got {type(u).__name__}")
-    n = dims.cells
-    if 2 * len(norm) > n:
-        raise PlacementError(f"{len(norm)} units cannot be mirrored into a {dims.rows}x{dims.cols} grid")
-    counts: dict[str, int] = {}
-    for u in norm:
-        counts[u.device] = counts.get(u.device, 0) + 1
-    indices: dict[str, set[int]] = {}
-    for u in norm:
-        indices.setdefault(u.device, set()).add(u.index)
-    for device, m in counts.items():
-        if indices[device] != set(range(m)):
-            raise PlacementError(f"device {device!r}: half must carry unit indices 0..{m - 1}")
-    cells: list[Cell] = [None] * n
-    for i, u in enumerate(norm):
-        cells[i] = u
-        m = counts[u.device]
-        cells[n - 1 - i] = Unit(u.device, 2 * m - 1 - u.index, u.flip)
-    return Placement(dims, tuple(cells))
+    half = tuple(half)
+    for name in half:
+        if not isinstance(name, str):
+            raise PlacementError(f"half entries must be device names, got {type(name).__name__}")
+    slack = dims.cells - 2 * len(half)
+    if slack < 0:
+        raise PlacementError(f"{len(half)} units cannot be mirrored into a {dims.rows}x{dims.cols} grid")
+    return Placement(dims, half + (None,) * slack + half[::-1])
 
 
 def transform_xy180(p: Placement, x_name: str, y_name: str) -> Placement:
@@ -309,8 +263,7 @@ def transform_xy180(p: Placement, x_name: str, y_name: str) -> Placement:
     (second) half of the grid; the devices must have equal unit counts."""
     if x_name == y_name:
         raise PlacementError("label exchange needs two distinct devices")
-    n_x = sum(1 for c in p.cells if isinstance(c, Unit) and c.device == x_name)
-    n_y = sum(1 for c in p.cells if isinstance(c, Unit) and c.device == y_name)
+    n_x, n_y = p.cells.count(x_name), p.cells.count(y_name)
     if n_x == 0 or n_y == 0:
         missing = x_name if n_x == 0 else y_name
         raise PlacementError(f"device {missing!r} has no units in the placement")
@@ -319,44 +272,9 @@ def transform_xy180(p: Placement, x_name: str, y_name: str) -> Placement:
             f"label exchange needs equal unit counts, got {x_name}:{n_x} vs {y_name}:{n_y}"
         )
     start = (p.dims.cells + 1) // 2  # centre cell of an odd grid stays put
-    cells = list(p.cells)
-    for i in range(start, len(cells)):
-        c = cells[i]
-        if isinstance(c, Unit):
-            if c.device == x_name:
-                cells[i] = Unit(y_name, c.index, c.flip)
-            elif c.device == y_name:
-                cells[i] = Unit(x_name, c.index, c.flip)
-    out = Placement(p.dims, tuple(cells))
-    return _renumber_duplicates(out)
-
-
-def _renumber_duplicates(p: Placement) -> Placement:
-    # Keeping indices across a label exchange is involutive and collision-free
-    # for placements built by the mirrored constructions; hand-built inputs may
-    # collide and get their later occurrences renumbered deterministically.
-    by_dev: dict[str, list[int]] = {}
-    for i, c in enumerate(p.cells):
-        if isinstance(c, Unit):
-            by_dev.setdefault(c.device, []).append(i)
-    cells = None
-    for device, spots in by_dev.items():
-        seen: set[int] = set()
-        clashes = []
-        for i in spots:
-            u = p.cells[i] if cells is None else cells[i]
-            if u.index in seen:
-                clashes.append(i)
-            else:
-                seen.add(u.index)
-        if not clashes:
-            continue
-        if cells is None:
-            cells = list(p.cells)
-        free = iter(sorted(set(range(len(spots))) - seen))
-        for i in clashes:
-            cells[i] = Unit(device, next(free), cells[i].flip)
-    return p if cells is None else Placement(p.dims, tuple(cells))
+    swap = {x_name: y_name, y_name: x_name}
+    second = tuple(swap.get(c, c) for c in p.cells[start:])
+    return Placement(p.dims, p.cells[:start] + second)
 
 
 def enumerate_perturbations(
@@ -375,7 +293,7 @@ def enumerate_perturbations(
     retries with a fresh draw on the next iteration.
     """
     half = p.dims.cells // 2
-    spots = [i for i in range(half) if isinstance(p.cells[i], Unit)]
+    spots = [i for i in range(half) if isinstance(p.cells[i], str)]
     if len(spots) < 2:
         return []
     i = int(rng.integers(len(spots)))
@@ -392,13 +310,12 @@ def enumerate_perturbations(
                 candidates.append(transform_xy180(base, da.name, db.name))
 
     out = []
-    seen = {p.label_grid()}
+    seen = {p.cells}
     for cand in candidates:
-        key = cand.label_grid()
-        if key in seen:
+        if cand.cells in seen:
             continue
-        seen.add(key)
-        if not _is_cc(cand):
+        seen.add(cand.cells)
+        if not _centroid_sums(cand)[1]:
             continue
         if db_max is not None and count_diffusion_breaks(cand, nl) > db_max:
             continue

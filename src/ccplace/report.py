@@ -4,6 +4,11 @@ Reports round-trip losslessly: parsing an emitted report reproduces the
 archive exactly.  The canonical JSON bytes are deterministic for a fixed
 seed and config; wall-clock time is therefore excluded unless explicitly
 requested.
+
+A unit cell is written as ``[device, index, flip]``: the index counts the
+device's units in row-major order and flip is false, since placements carry
+device names only.  Parsing checks the triple and keeps the device name, so
+reports that numbered units otherwise still read back.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from .anneal import Archive, Solution
 from .netlist import DeviceSpec, Netlist
 from .objectives import ObjectiveVector
-from .placement import DUMMY, Dummy, GridDims, Placement, PlacementError, Unit
+from .placement import DUMMY, Dummy, GridDims, Placement, PlacementError
 
 DUMMY_CHAR = "·"
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
@@ -33,14 +38,14 @@ def _letter_map(names) -> dict[str, str]:
 
 def render_placement(p: Placement) -> str:
     """Character grid: one cell per unit, '·' for dummies, blank for empty."""
-    letters = _letter_map(c.device for c in p.cells if isinstance(c, Unit))
+    letters = _letter_map(c for c in p.cells if isinstance(c, str))
     lines = []
     for y in range(1, p.dims.rows + 1):
         chars = []
         for x in range(1, p.dims.cols + 1):
             c = p.at(x, y)
-            if isinstance(c, Unit):
-                chars.append(letters[c.device])
+            if isinstance(c, str):
+                chars.append(letters[c])
             elif isinstance(c, Dummy):
                 chars.append(DUMMY_CHAR)
             else:
@@ -52,8 +57,8 @@ def render_placement(p: Placement) -> str:
 def parse_rendered(text: str, device_names=None) -> Placement:
     """Rebuild a placement from its rendered grid.
 
-    Unit indices are assigned row-major per device; pass ``device_names``
-    to recover full names when the rendering had to assign letters.
+    Pass ``device_names`` to recover full names when the rendering had to
+    assign letters.
     """
     lines = text.splitlines()
     if not lines or not any(line.strip() for line in lines):
@@ -65,7 +70,6 @@ def parse_rendered(text: str, device_names=None) -> Placement:
     inverse = {v: k for k, v in _letter_map(device_names).items()}
     cols = max((len(line) + 1) // 2 for line in lines)
     cells = []
-    counters: dict[str, int] = {}
     for line in lines:
         padded = line.ljust(2 * cols - 1)
         for x in range(cols):
@@ -78,9 +82,7 @@ def parse_rendered(text: str, device_names=None) -> Placement:
                 device = inverse.get(ch)
                 if device is None:
                     raise PlacementError(f"unknown device letter {ch!r}")
-                k = counters.get(device, 0)
-                counters[device] = k + 1
-                cells.append(Unit(device, k))
+                cells.append(device)
     return Placement(GridDims(len(lines), cols), tuple(cells))
 
 
@@ -123,14 +125,6 @@ def netlist_from_dict(doc: dict) -> Netlist:
     return Netlist(devices, nets)
 
 
-def _cell_to_json(c):
-    if c is None:
-        return None
-    if isinstance(c, Dummy):
-        return "dummy"
-    return [c.device, c.index, c.flip]
-
-
 def _field(doc: dict, key: str, where: str, kind, what: str):
     """``doc[key]`` checked against ``kind``; a ValueError names the field."""
     name = f"{where}.{key}" if where else key
@@ -167,16 +161,21 @@ def _cell_from_json(v, where: str):
         return DUMMY
     if (isinstance(v, list) and len(v) == 3 and isinstance(v[0], str) and v[0]
             and isinstance(v[1], int) and not isinstance(v[1], bool) and isinstance(v[2], bool)):
-        return Unit(v[0], v[1], v[2])
+        return v[0]
     raise ValueError(f'{where}: must be null, "dummy" or [device, index, flip]')
 
 
 def _placement_to_json(p: Placement) -> dict:
-    return {
-        "rows": p.dims.rows,
-        "cols": p.dims.cols,
-        "cells": [_cell_to_json(c) for c in p.cells],
-    }
+    cells = []
+    seen: dict[str, int] = {}
+    for c in p.cells:
+        if isinstance(c, str):
+            k = seen.get(c, 0)
+            seen[c] = k + 1
+            cells.append([c, k, False])
+        else:
+            cells.append("dummy" if isinstance(c, Dummy) else None)
+    return {"rows": p.dims.rows, "cols": p.dims.cols, "cells": cells}
 
 
 def _placement_from_json(doc: dict, where: str) -> Placement:

@@ -38,7 +38,7 @@ from ccplace import (
     steiner_oracle,
 )
 from ccplace.cli import main
-from ccplace.placement import Placement, Unit
+from ccplace.placement import Placement
 
 from conftest import make_grid
 
@@ -119,7 +119,6 @@ def test_criterion_1_formula_fidelity():
                 continue
             n_devices = rng.randint(2, 5)
             cells = []
-            counters = {}
             for _ in range(rows * cols):
                 roll = rng.random()
                 if roll < 0.05:
@@ -128,10 +127,7 @@ def test_criterion_1_formula_fidelity():
                     from ccplace import DUMMY
                     cells.append(DUMMY)
                 else:
-                    lbl = chr(ord("A") + rng.randrange(n_devices))
-                    k = counters.get(lbl, 0)
-                    counters[lbl] = k + 1
-                    cells.append(Unit(lbl, k))
+                    cells.append(chr(ord("A") + rng.randrange(n_devices)))
             p = Placement(GridDims(rows, cols), tuple(cells))
             assert dispersion(p) == dispersion_oracle(p)  # exact Fraction equality
             checked += 1

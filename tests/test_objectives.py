@@ -13,7 +13,6 @@ from ccplace import (
     ObjectiveRanges,
     ObjectiveVector,
     Placement,
-    Unit,
     delta_dom,
     dispersion,
     dominates,
@@ -60,7 +59,7 @@ def test_inv_wpe_diagonal_pair():
 
 
 def test_inv_wpe_single_cell_grid():
-    p = Placement(GridDims(1, 1), (Unit("A", 0),))
+    p = Placement(GridDims(1, 1), ("A",))
     assert inv_wpe(p, "A") == 4
 
 
@@ -69,7 +68,7 @@ def test_inv_wpe_rotation_invariant():
     for _ in range(25):
         rows, cols = rng.randint(1, 4), rng.randint(2, 6)
         labels = [rng.choice("AB") for _ in range(rows * cols)]
-        cells = tuple(Unit(lbl, i) for i, lbl in enumerate(labels))
+        cells = tuple(labels)
         p = Placement(GridDims(rows, cols), cells)
         q = Placement(GridDims(rows, cols), tuple(reversed(cells)))
         for dev in "AB":
@@ -133,7 +132,7 @@ def lde_cases(draw):
         elif lab == -2:
             cells.append(DUMMY)
         else:
-            cells.append(Unit(f"M{lab}", counts[lab]))
+            cells.append(f"M{lab}")
             counts[lab] += 1
     nl = Netlist(tuple(DeviceSpec(f"M{d}", n, "G", "S", "D") for d, n in enumerate(counts)))
     return Placement(GridDims(rows, cols), tuple(cells)), nl
@@ -148,7 +147,7 @@ def test_lde_matches_textbook_fraction_sums(case):
     for d in nl.devices:
         total = Fraction(0)
         for i, cell in enumerate(p.cells):
-            if isinstance(cell, Unit) and cell.device == d.name:
+            if cell == d.name:
                 x, y = i % r + 1, i // r + 1
                 total += Fraction(1, x) + Fraction(1, r + 1 - x) + Fraction(1, y) + Fraction(1, c + 1 - y)
         assert inv_wpe(p, d.name) == total
@@ -195,13 +194,8 @@ def test_evaluate_rot180_invariant():
         for _ in range(20):
             labels = ["A"] * 4 + ["B"] * 4
             rng.shuffle(labels)
-            idx = {"A": 0, "B": 0}
-            cells = []
-            for lbl in labels:
-                cells.append(Unit(lbl, idx[lbl]))
-                idx[lbl] += 1
-            p = Placement(GridDims(2, 4), tuple(cells))
-            q = Placement(GridDims(2, 4), tuple(reversed(cells)))
+            p = Placement(GridDims(2, 4), tuple(labels))
+            q = Placement(GridDims(2, 4), tuple(reversed(labels)))
             assert evaluate(p, nl) == evaluate(q, nl)
 
 

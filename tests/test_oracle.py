@@ -10,7 +10,6 @@ from ccplace import (
     OracleBudget,
     OracleBudgetError,
     Placement,
-    Unit,
     cc_enumerate,
     check_cc,
     dispersion,
@@ -26,13 +25,7 @@ from conftest import make_grid
 
 def random_placement(rng, rows, cols, devices):
     labels = [chr(ord("A") + rng.randrange(devices)) for _ in range(rows * cols)]
-    counters = {}
-    cells = []
-    for lbl in labels:
-        k = counters.get(lbl, 0)
-        counters[lbl] = k + 1
-        cells.append(Unit(lbl, k))
-    return Placement(GridDims(rows, cols), tuple(cells))
+    return Placement(GridDims(rows, cols), tuple(labels))
 
 
 def test_dispersion_oracle_examples():

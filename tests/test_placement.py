@@ -11,7 +11,6 @@ from ccplace import (
     Netlist,
     Placement,
     PlacementError,
-    Unit,
     break_positions,
     check_cc,
     count_diffusion_breaks,
@@ -151,6 +150,17 @@ def test_dummy_positions_symmetry_invariant(disjoint_pair_netlist):
     assert {mirror_x(mirror_y(e)) for e in pos} == set(pos)
 
 
+# -- validate ---------------------------------------------------------------
+
+
+def test_validate_names_the_wrong_device(pair_netlist, topologies):
+    topologies[1].validate(pair_netlist)
+    with pytest.raises(PlacementError, match="'B': 3 units placed, the netlist has 4"):
+        make_grid(["ABAB", "BAA "]).validate(pair_netlist)
+    with pytest.raises(PlacementError, match="'C' does not belong"):
+        make_grid(["ABAB", "BABA", "CC  "]).validate(pair_netlist)
+
+
 # -- swap_mirrored ----------------------------------------------------------
 
 
@@ -162,8 +172,8 @@ def test_swap_identity(topologies):
 def test_swap_mirrors_second_half():
     p = make_grid(["AABB", "BBAA"])
     q = swap_mirrored(p, (2, 1), (3, 1))
-    assert [c.device for c in q.cells[:4]] == list("ABAB")
-    assert [c.device for c in q.cells[4:]] == list("BABA")
+    assert list(q.cells[:4]) == list("ABAB")
+    assert list(q.cells[4:]) == list("BABA")
 
 
 def test_swap_rejects_second_half_and_fillers():
@@ -190,8 +200,7 @@ def test_swap_involution_and_cc(data):
     assert swap_mirrored(q, a, b) == p  # involution
     assert check_cc(q).is_cc  # label-symmetric placements stay CC
     # unit conservation
-    assert sorted((c.device, c.index) for c in q.cells if isinstance(c, Unit)) == \
-        sorted((c.device, c.index) for c in p.cells if isinstance(c, Unit))
+    assert sorted(q.cells) == sorted(p.cells)
 
 
 # -- transform_xx180 --------------------------------------------------------
@@ -199,7 +208,7 @@ def test_swap_involution_and_cc(data):
 
 def test_xx180_two_cell_row():
     p = transform_xx180(["A", "B"], GridDims(1, 4))
-    assert [c.device for c in p.cells] == list("ABBA")
+    assert list(p.cells) == list("ABBA")
     assert check_cc(p).is_cc
 
 
@@ -207,24 +216,19 @@ def test_xx180_label_symmetric_by_construction():
     p = transform_xx180(["A", "A", "B", "B", "C", "C"], GridDims(2, 6))
     n = p.dims.cells
     for i in range(n):
-        a, b = p.cells[i], p.cells[n - 1 - i]
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.device == b.device
+        assert p.cells[i] == p.cells[n - 1 - i]
     assert check_cc(p).is_cc
 
 
 def test_xx180_slack_sits_in_the_middle():
     p = transform_xx180(["A", "B"], GridDims(1, 6))
-    assert [c.device if c else None for c in p.cells] == ["A", "B", None, None, "B", "A"]
+    assert list(p.cells) == ["A", "B", None, None, "B", "A"]
     assert check_cc(p).is_cc
 
 
 def test_xx180_errors():
     with pytest.raises(PlacementError, match="mirrored"):
         transform_xx180(["A", "A", "A"], GridDims(1, 4))
-    with pytest.raises(PlacementError, match="indices"):
-        transform_xx180([Unit("A", 1), Unit("A", 3)], GridDims(1, 4))
 
 
 # -- transform_xy180 --------------------------------------------------------
@@ -233,7 +237,7 @@ def test_xx180_errors():
 def test_xy180_relabel_second_half():
     p = make_grid(["ABBA"])
     q = transform_xy180(p, "A", "B")
-    assert [c.device for c in q.cells] == list("ABAB")
+    assert list(q.cells) == list("ABAB")
 
 
 def test_xy180_involution(topologies):
@@ -271,7 +275,7 @@ def test_enumerate_swap_plus_label_exchange(pair_netlist, topologies):
     # the A/B exchange on it is non-CC and must be filtered.
     rng = FakeRng(integers=[1, 1])
     out = enumerate_perturbations(topologies[2], pair_netlist, rng)
-    assert [p.label_grid() for p in out] == [topologies[1].label_grid()]
+    assert [p.cells for p in out] == [topologies[1].cells]
 
 
 def test_enumerate_no_equal_counts_only_swap():
@@ -296,7 +300,7 @@ def test_enumerate_bound_filter_can_empty(disjoint_pair_netlist, topologies):
 def test_enumerate_drops_noop_same_device_swap(pair_netlist, topologies):
     rng = FakeRng(integers=[0, 0])  # cells (1,1) and (2,1): both device A
     out = enumerate_perturbations(topologies[2], pair_netlist, rng)
-    assert topologies[2].label_grid() not in [p.label_grid() for p in out]
+    assert topologies[2].cells not in [p.cells for p in out]
 
 
 def test_transformation_family_has_six_patterns(pair_netlist, topologies):
@@ -312,13 +316,12 @@ def test_transformation_family_has_six_patterns(pair_netlist, topologies):
                     continue
                 base = swap_mirrored(p, p.coord(ai), p.coord(bi))
                 for cand in (base, transform_xy180(base, "A", "B")):
-                    seen.add(cand.label_grid())
-                    cc_flags[cand.label_grid()] = check_cc(cand).is_cc
-    placements = [Placement(topologies[1].dims, tuple(
-        Unit(lbl, 0) for lbl in grid)) for grid in seen]
+                    seen.add(cand.cells)
+                    cc_flags[cand.cells] = check_cc(cand).is_cc
+    placements = [Placement(topologies[1].dims, grid) for grid in seen]
     classes = pattern_classes(placements, pair_netlist)
     assert len(classes) == 6
     cc_classes = [
-        cls for cls in classes if cc_flags[cls[0].label_grid()]
+        cls for cls in classes if cc_flags[cls[0].cells]
     ]
     assert len(cc_classes) == 4

@@ -15,7 +15,6 @@ from ccplace import (
     RunReport,
     SaConfig,
     Solution,
-    Unit,
     evaluate,
     netlist_from_dict,
     netlist_to_dict,
@@ -25,7 +24,7 @@ from ccplace import (
     report_to_json,
     run,
 )
-from ccplace.cli import default_grid_dims, main
+from ccplace.cli import build_parser, default_grid_dims, main
 
 from conftest import make_grid
 
@@ -38,7 +37,7 @@ def test_render_row():
 
 
 def test_render_dummy_and_empty():
-    p = Placement(GridDims(1, 3), (Unit("A", 0), DUMMY, None))
+    p = Placement(GridDims(1, 3), ("A", DUMMY, None))
     assert render_placement(p) == "A ·  "
 
 
@@ -52,7 +51,7 @@ def test_render_parse_round_trip(topologies):
 def test_render_multi_char_names():
     nl_names = ["M1", "M2"]
     p = parse_rendered("A B\nB A", nl_names)
-    assert p.at(1, 1).device == "M1"
+    assert p.at(1, 1) == "M1"
     assert render_placement(p) == "A B\nB A"
 
 
@@ -96,6 +95,31 @@ def test_report_timing_opt_in(pair_netlist, pair_dims):
     report = small_report(pair_netlist, pair_dims)
     doc = json.loads(report_to_json(report, include_timing=True))
     assert doc["wall_clock_s"] == 1.23
+
+
+def test_report_from_json_ignores_unit_numbering(pair_netlist, pair_dims):
+    # Reports number each device's units row-major with flip false; parsing
+    # keeps only the device name, so any other numbering reads back the same.
+    report = small_report(pair_netlist, pair_dims)
+    text = report_to_json(report)
+    doc = json.loads(text)
+    for entry in doc["archive"]:
+        cells = entry["placement"]["cells"]
+        for i, cell in enumerate(cells):
+            if isinstance(cell, list):
+                cells[i] = [cell[0], len(cells) - i, True]
+    back = report_from_json(json.dumps(doc))
+    assert back.archive == report.archive
+    assert report_to_json(back) == text
+
+
+def test_report_numbers_units_row_major(pair_netlist):
+    p = make_grid(["ABBA", "BAAB"])
+    report = RunReport(seed=0, config={}, dims=p.dims, netlist={},
+                       archive=[Solution(p, evaluate(p, pair_netlist))], selected=0, ranges=[])
+    cells = json.loads(report_to_json(report))["archive"][0]["placement"]["cells"]
+    assert cells == [["A", 0, False], ["B", 0, False], ["B", 1, False], ["A", 1, False],
+                     ["B", 2, False], ["A", 2, False], ["A", 3, False], ["B", 3, False]]
 
 
 def test_netlist_dict_round_trip(pair_netlist):
@@ -264,6 +288,30 @@ def test_cli_place_weights_flag(netlist_file, tmp_path):
     # full weight on dispersion: the selected member maximises it
     best = min(s.objectives.neg_dispersion for s in report.archive)
     assert report.archive[report.selected].objectives.neg_dispersion == best
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tmax", "inf"],
+    ["--weights", "nan", "1", "1", "1", "1"],
+    ["--weights", "inf", "1", "1", "1", "1"],
+], ids=["tmax-inf", "weight-nan", "weight-inf"])
+def test_cli_rejects_non_finite_flags(netlist_file, tmp_path, capsys, flags):
+    out = tmp_path / "r.json"
+    assert main(["place", str(netlist_file), *FAST, *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_schedule_defaults_match_config():
+    cfg = SaConfig()
+    parser = build_parser()
+    for argv in (["place", "net.json"], ["bench"]):
+        args = parser.parse_args(argv)
+        assert (args.tmax, args.tmin, args.alpha, args.iters) == \
+            (cfg.t_max, cfg.t_min, cfg.alpha, cfg.iters_per_temp)
 
 
 def test_cli_invalid_env_seed(netlist_file, monkeypatch, capsys):
