@@ -33,7 +33,7 @@ class SaConfig:
     """Annealing schedule, admissibility bounds, and selection weights.
 
     ``db_max`` / ``dummy_max`` of None bound candidates at the initial
-    placement's own counts.
+    placement's own counts; a given bound must be non-negative.
     """
 
     t_max: float = 100.0
@@ -54,6 +54,10 @@ class SaConfig:
             raise ValueError(f"iters_per_temp must be positive, got {self.iters_per_temp}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("db_max", "dummy_max"):
+            bound = getattr(self, name)
+            if bound is not None and bound < 0:
+                raise ValueError(f"{name} must be non-negative, got {bound}")
         if len(self.selection_weights) != 5 or not all(0 <= w < math.inf for w in self.selection_weights):
             raise ValueError(f"selection_weights must be five finite non-negative reals, "
                              f"got {self.selection_weights}")
@@ -70,9 +74,8 @@ class Solution:
 class Archive:
     """Insertion-ordered set of mutually non-dominated solutions."""
 
-    def __init__(self, track_removed: bool = False):
+    def __init__(self):
         self._solutions: list[Solution] = []
-        self.removed: list[ObjectiveVector] | None = [] if track_removed else None
 
     def __len__(self) -> int:
         return len(self._solutions)
@@ -88,24 +91,23 @@ class Archive:
         """Admit ``sol`` unless dominated; evict members it dominates.
 
         Exact duplicates (same cells and same vector) are rejected;
-        distinct placements with equal vectors coexist.
+        distinct placements with equal vectors coexist.  One pass settles
+        every member: because members are mutually non-dominated, a member
+        equal to ``sol``'s vector or dominating it rules out any eviction,
+        so the pass may stop there and leave the archive as it was.
         """
         vec = sol.objectives
-        for s in self._solutions:
-            if dominates(s.objectives, vec):
-                return False
+        cells = sol.placement.cells
         kept = []
         for s in self._solutions:
-            if dominates(vec, s.objectives):
-                if self.removed is not None:
-                    self.removed.append(s.objectives)
+            if s.objectives == vec:
+                if s.placement.cells == cells:
+                    return False
+            elif dominates(s.objectives, vec):
+                return False
+            elif dominates(vec, s.objectives):
                 continue
             kept.append(s)
-        cells = sol.placement.cells
-        for s in kept:
-            if s.objectives == vec and s.placement.cells == cells:
-                self._solutions = kept
-                return False
         kept.append(sol)
         self._solutions = kept
         return True
@@ -131,8 +133,9 @@ def delta_dom_avg(cur: Solution, new_pts, archive, ranges: ObjectiveRanges) -> f
     the current point.
 
     Averages over every (archive member, candidate) pair with domination
-    plus every candidate the current point dominates.  Raises when no such
-    relation exists; the case analysis in ``step`` never calls it then.
+    plus every candidate the current point dominates.  With no such
+    relation it is 0.0, which makes the acceptance probability a neutral
+    0.5.
     """
     total = 0.0
     count = 0
@@ -145,9 +148,7 @@ def delta_dom_avg(cur: Solution, new_pts, archive, ranges: ObjectiveRanges) -> f
         if dominates(cur.objectives, cand.objectives):
             total += delta_dom(cur.objectives, cand.objectives, ranges)
             count += 1
-    if count == 0:
-        raise ValueError("no domination relations between current point, archive, and candidates")
-    return total / count
+    return total / count if count else 0.0
 
 
 def _choose_next(cur, new_pts, archive, ranges, temp, rng):
@@ -162,16 +163,11 @@ def _choose_next(cur, new_pts, archive, ranges, temp, rng):
     dominators = [s for s in new_pts if dominates(s.objectives, cur.objectives)]
     if dominators:
         return dominators[int(rng.integers(len(dominators)))]
-    dominated = {i for i, s in enumerate(new_pts) if dominates(cur.objectives, s.objectives)}
-    pool = [s for i, s in enumerate(new_pts) if i not in dominated] if dominated else list(new_pts)
+    pool = [s for s in new_pts if not dominates(cur.objectives, s.objectives)]
     if not pool:
         return cur
     pick = pool[int(rng.integers(len(pool)))]
-    try:
-        avg = delta_dom_avg(cur, new_pts, archive, ranges)
-    except ValueError:
-        avg = 0.0  # no domination relations at all: neutral exploration
-    if rng.random() < accept_probability(avg, temp):
+    if rng.random() < accept_probability(delta_dom_avg(cur, new_pts, archive, ranges), temp):
         return pick
     return cur
 
@@ -184,22 +180,21 @@ class CcAnnealer:
     RNG draw happens; seed reproducibility is unaffected.
     """
 
-    def __init__(self, nl: Netlist, dims: GridDims, cfg: SaConfig | None = None,
-                 track_removed: bool = False):
+    def __init__(self, nl: Netlist, dims: GridDims, cfg: SaConfig | None = None):
         self.netlist = nl
         self.dims = dims
         self.cfg = cfg if cfg is not None else SaConfig()
         self.ranges = ObjectiveRanges()
         self._route_cache: dict = {}
         self._eval_cache: dict = {}
-        self.archive = Archive(track_removed=track_removed)
+        self.archive = Archive()
         self.initial = initial_placement(nl, dims, evaluate_fn=self.evaluate)
-        self.db_max = self.cfg.db_max if self.cfg.db_max is not None \
-            else self.initial.objectives.diffusion_breaks
-        self.dummy_max = self.cfg.dummy_max if self.cfg.dummy_max is not None \
-            else self.initial.objectives.dummy_count
-        self.ranges.update(self.initial.objectives)
-        self.archive.insert(self.initial)
+        o = self.initial.objectives
+        self.db_max = self.cfg.db_max if self.cfg.db_max is not None else o.diffusion_breaks
+        self.dummy_max = self.cfg.dummy_max if self.cfg.dummy_max is not None else o.dummy_count
+        self.ranges.update(o)
+        if o.diffusion_breaks <= self.db_max and o.dummy_count <= self.dummy_max:
+            self.archive.insert(self.initial)
 
     def evaluate(self, placement: Placement) -> ObjectiveVector:
         vec = self._eval_cache.get(placement.cells)
@@ -233,6 +228,8 @@ class CcAnnealer:
 
         Each temperature level draws from its own seeded stream, so a
         change in one level's iteration count cannot cascade into others.
+        Raises ValueError when no placement within the break and dummy
+        bounds was found.
         """
         cur = self.initial
         temp = self.cfg.t_max
@@ -245,6 +242,12 @@ class CcAnnealer:
                     on_iteration(self.archive, cur, temp)
             temp *= self.cfg.alpha
             level += 1
+        if not self.archive:
+            o = self.initial.objectives
+            raise ValueError(
+                f"no placement found within db_max={self.db_max} and dummy_max={self.dummy_max}; "
+                f"the initial placement has {o.diffusion_breaks} breaks and {o.dummy_count} dummies"
+            )
         return self.archive
 
 
@@ -320,10 +323,9 @@ def _greedy_chain(devices):
 
 
 def run(nl: Netlist, dims: GridDims, cfg: SaConfig | None = None, *,
-        on_iteration=None, track_removed: bool = False) -> Archive:
+        on_iteration=None) -> Archive:
     """Anneal a netlist on the given grid; deterministic for a fixed config."""
-    annealer = CcAnnealer(nl, dims, cfg, track_removed=track_removed)
-    return annealer.run(on_iteration=on_iteration)
+    return CcAnnealer(nl, dims, cfg).run(on_iteration=on_iteration)
 
 
 def select_solution(archive, weights=None) -> Solution:
@@ -339,15 +341,14 @@ def select_solution(archive, weights=None) -> Solution:
     w = tuple(weights) if weights is not None else DEFAULT_SELECTION_WEIGHTS
     if len(w) != 5:
         raise ValueError(f"expected five weights, got {len(w)}")
-    columns = list(zip(*(s.objectives.as_tuple() for s in sols)))
+    columns = list(zip(*(s.objectives for s in sols)))
     lows = [min(col) for col in columns]
     spans = [max(col) - min(col) for col in columns]
 
     def score(s: Solution) -> float:
-        t = s.objectives.as_tuple()
         return sum(
             wi * ((v - lo) / span if span > 0 else 0.0)
-            for wi, v, lo, span in zip(w, t, lows, spans)
+            for wi, v, lo, span in zip(w, s.objectives, lows, spans)
         )
 
-    return min(sols, key=lambda s: (score(s), s.objectives.as_tuple()))
+    return min(sols, key=lambda s: (score(s), s.objectives))

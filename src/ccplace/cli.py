@@ -22,10 +22,14 @@ from .report import (
 
 
 def default_grid_dims(total: int) -> GridDims:
-    """Two rows for arrays up to 24 units, else the most-square exact
-    factorisation (prime counts degenerate to a single row)."""
-    if total <= 24:
-        return GridDims(2, (total + 1) // 2)
+    """Two rows for even arrays up to 24 units, else the most-square exact
+    factorisation (prime counts degenerate to a single row).
+
+    An odd total has only odd factors, so its grid is odd x odd and has the
+    centre cell that a device with an odd unit count needs.
+    """
+    if total <= 24 and total % 2 == 0:
+        return GridDims(2, total // 2)
     rows = 1
     k = 2
     while k * k <= total:

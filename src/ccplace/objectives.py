@@ -8,21 +8,22 @@ between devices), routed net length, diffusion breaks, and dummy count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 from .netlist import Netlist
 from .placement import Placement, count_diffusion_breaks, count_dummies
 from .routing import routing_cost
 
-OBJECTIVE_NAMES = ("neg_dispersion", "lde_mismatch", "routing_cost", "diffusion_breaks", "dummy_count")
 
+class ObjectiveVector(NamedTuple):
+    """The five minimised objectives of one placement.
 
-@dataclass(frozen=True)
-class ObjectiveVector:
-    """The five minimised objectives of one placement."""
+    A vector is its own tuple: the Pareto arithmetic below works on plain
+    tuples, so it takes objective vectors and bare tuples of any equal
+    length alike.
+    """
 
     neg_dispersion: float
     lde_mismatch: float
@@ -31,13 +32,11 @@ class ObjectiveVector:
     dummy_count: int
 
     def as_tuple(self) -> tuple:
-        return (
-            self.neg_dispersion,
-            self.lde_mismatch,
-            self.routing_cost,
-            self.diffusion_breaks,
-            self.dummy_count,
-        )
+        # perfbench/checks.py and perfbench/measure.py read vectors through this
+        return tuple(self)
+
+
+OBJECTIVE_NAMES = ObjectiveVector._fields
 
 
 def dispersion(p: Placement) -> Fraction:
@@ -152,16 +151,12 @@ def evaluate(p: Placement, nl: Netlist, *, route_cache: dict | None = None) -> O
 # ---------------------------------------------------------------------------
 
 
-def _components(v) -> tuple:
-    return v.as_tuple() if isinstance(v, ObjectiveVector) else tuple(v)
-
-
-def dominates(a, b) -> bool:
-    """Strict Pareto domination: no component worse, at least one better."""
-    ta, tb = _components(a), _components(b)
-    if len(ta) != len(tb):
-        raise ValueError(f"objective vectors differ in length: {len(ta)} vs {len(tb)}")
-    return all(x <= y for x, y in zip(ta, tb)) and ta != tb
+def dominates(a: tuple, b: tuple) -> bool:
+    """Strict Pareto domination of tuple ``a`` over tuple ``b``: no component
+    worse, at least one better."""
+    if len(a) != len(b):
+        raise ValueError(f"objective vectors differ in length: {len(a)} vs {len(b)}")
+    return a != b and all(x <= y for x, y in zip(a, b))
 
 
 class ObjectiveRanges:
@@ -183,15 +178,14 @@ class ObjectiveRanges:
         r._hi = [float(hi) for _, hi in pairs]
         return r
 
-    def update(self, vec) -> None:
-        t = _components(vec)
+    def update(self, vec: tuple) -> None:
         if self._lo is None:
-            self._lo = [float(v) for v in t]
-            self._hi = [float(v) for v in t]
+            self._lo = [float(v) for v in vec]
+            self._hi = [float(v) for v in vec]
             return
-        if len(t) != len(self._lo):
-            raise ValueError(f"expected {len(self._lo)} components, got {len(t)}")
-        for i, v in enumerate(t):
+        if len(vec) != len(self._lo):
+            raise ValueError(f"expected {len(self._lo)} components, got {len(vec)}")
+        for i, v in enumerate(vec):
             if v < self._lo[i]:
                 self._lo[i] = float(v)
             if v > self._hi[i]:
@@ -209,14 +203,14 @@ class ObjectiveRanges:
         return list(zip(self._lo, self._hi))
 
 
-def delta_dom(a, b, ranges: ObjectiveRanges) -> float:
+def delta_dom(a: tuple, b: tuple, ranges: ObjectiveRanges) -> float:
     """Amount of domination: the product of normalised gaps over the
-    components where ``a`` and ``b`` differ.  Undefined for equal vectors."""
-    ta, tb = _components(a), _components(b)
-    if ta == tb:
+    components where tuples ``a`` and ``b`` differ.  Undefined for equal
+    vectors."""
+    if a == b:
         raise ValueError("domination amount is undefined for identical vectors")
     out = 1.0
-    for i, (x, y) in enumerate(zip(ta, tb)):
+    for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
             out *= abs(x - y) / ranges.width(i)
     return out

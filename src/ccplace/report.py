@@ -186,16 +186,6 @@ def _placement_from_json(doc: dict, where: str) -> Placement:
     return Placement(dims, tuple(_cell_from_json(c, f"{where}.cells[{i}]") for i, c in enumerate(cells)))
 
 
-def _objectives_to_json(o: ObjectiveVector) -> dict:
-    return {
-        "neg_dispersion": o.neg_dispersion,
-        "lde_mismatch": o.lde_mismatch,
-        "routing_cost": o.routing_cost,
-        "diffusion_breaks": o.diffusion_breaks,
-        "dummy_count": o.dummy_count,
-    }
-
-
 def _objectives_from_json(doc: dict, where: str) -> ObjectiveVector:
     return ObjectiveVector(
         neg_dispersion=_field(doc, "neg_dispersion", where, _NUMBER, "a number"),
@@ -219,7 +209,7 @@ def report_to_json(r: RunReport, include_timing: bool = False) -> str:
         "netlist": r.netlist,
         "archive": [
             {"placement": _placement_to_json(s.placement),
-             "objectives": _objectives_to_json(s.objectives)}
+             "objectives": s.objectives._asdict()}
             for s in r.archive
         ],
         "selected": r.selected,

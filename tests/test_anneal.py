@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccplace import (
     Archive,
@@ -103,8 +105,7 @@ def test_avg_mean_of_two():
 def test_avg_requires_a_relation():
     cur = sol(1, 0, 0, 0, 1)
     new = [sol(0, 1, 1, 1, 0)]
-    with pytest.raises(ValueError, match="no domination"):
-        delta_dom_avg(cur, new, [], unit_ranges())
+    assert delta_dom_avg(cur, new, [], unit_ranges()) == 0.0
 
 
 # -- case resolution ----------------------------------------------------------
@@ -171,11 +172,22 @@ def test_archive_keeps_equal_vectors_distinct_placements(topologies):
     assert len(archive) == 2
 
 
-def test_archive_tracks_removed():
-    archive = Archive(track_removed=True)
-    archive.insert(sol(1, 1, 1, 1, 1))
-    archive.insert(sol(0, 0, 0, 0, 0))
-    assert archive.removed == [vec(1, 1, 1, 1, 1)]
+_GRIDS = [make_grid(["ABAB", "BABA"]), make_grid(["AABB", "BBAA"]), make_grid(["ABBA", "ABBA"])]
+
+
+@given(st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * 5), st.sampled_from(_GRIDS)), max_size=40))
+@settings(deadline=None, max_examples=300)
+def test_archive_matches_naive_front(items):
+    # 0/1 components and three placements make ties and exact duplicates common
+    sols = [Solution(grid, vec(*t)) for t, grid in items]
+    archive = Archive()
+    for s in sols:
+        archive.insert(s)
+    expected = []
+    for s in sols:
+        if not any(dominates(o.objectives, s.objectives) for o in sols) and s not in expected:
+            expected.append(s)
+    assert archive.solutions == tuple(expected)
 
 
 # -- initial_placement ---------------------------------------------------------
@@ -286,11 +298,17 @@ def test_run_archive_on_true_frontier_small_instance():
 
 
 def test_run_monotone_frontier(pair_netlist, pair_dims):
-    annealer = CcAnnealer(pair_netlist, pair_dims, SaConfig(seed=9), track_removed=True)
-    archive = annealer.run()
-    for removed in archive.removed:
+    # every vector the archive ever held, evicted ones included: the
+    # candidates inserted in one step are mutually non-dominated, so a vector
+    # evicted within a step was held after an earlier step
+    annealer = CcAnnealer(pair_netlist, pair_dims, SaConfig(seed=9))
+    held = {s.objectives for s in annealer.archive}
+    archive = annealer.run(
+        on_iteration=lambda archive, cur, temp: held.update(s.objectives for s in archive))
+    assert len(held) > len({s.objectives for s in archive})
+    for v in held:
         for final in archive:
-            assert not dominates(removed, final.objectives)
+            assert not dominates(v, final.objectives)
 
 
 def test_run_respects_bounds(disjoint_pair_netlist):
@@ -299,6 +317,32 @@ def test_run_respects_bounds(disjoint_pair_netlist):
     for s in archive:
         assert s.objectives.diffusion_breaks <= 2
         assert s.objectives.dummy_count <= 2
+
+
+def disjoint_netlist(*units):
+    names = "ABCDEFGH"[:len(units)]
+    return Netlist(
+        tuple(DeviceSpec(x, n, f"G{x}", f"s{x}", f"d{x}") for x, n in zip(names, units)),
+        tuple((x, (x,)) for x in names),
+    )
+
+
+def test_run_leaves_out_initial_placement_outside_bounds():
+    # the start has 4 dummies; the anneal reaches a 2-dummy placement
+    annealer = CcAnnealer(disjoint_netlist(2, 4), GridDims(2, 4), SaConfig(seed=1, dummy_max=2))
+    assert annealer.initial.objectives.dummy_count == 4
+    assert len(annealer.archive) == 0
+    archive = annealer.run()
+    assert len(archive) >= 1
+    assert all(s.objectives.dummy_count <= 2 for s in archive)
+
+
+def test_run_raises_when_no_placement_is_within_bounds():
+    # the start has 2 breaks and 4 dummies, and no move from it is break-free
+    annealer = CcAnnealer(disjoint_netlist(2, 2), GridDims(2, 4), SaConfig(seed=1, db_max=0))
+    assert len(annealer.archive) == 0
+    with pytest.raises(ValueError, match=r"db_max=0 and dummy_max=4.* 2 breaks and 4 dummies"):
+        annealer.run()
 
 
 def test_select_singleton():
@@ -358,6 +402,10 @@ def test_config_validation():
         SaConfig(iters_per_temp=0)
     with pytest.raises(ValueError):
         SaConfig(seed=-1)
+    with pytest.raises(ValueError, match="db_max"):
+        SaConfig(db_max=-1)
+    with pytest.raises(ValueError, match="dummy_max"):
+        SaConfig(dummy_max=-1)
     with pytest.raises(ValueError):
         SaConfig(selection_weights=(1, 2, 3))
     with pytest.raises(ValueError, match="t_max"):

@@ -305,6 +305,38 @@ def test_cli_rejects_non_finite_flags(netlist_file, tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_cli_place_unreachable_bound_exits_one(tmp_path, capsys):
+    # two 2-unit devices with disjoint nets: no move from the 2-break start
+    # reaches a break-free placement, so the archive under --db-max 0 is empty
+    path = tmp_path / "disjoint.json"
+    path.write_text(json.dumps({"devices": [
+        {"name": "A", "units": 2, "gate": "GA", "source": "n1", "drain": "n2"},
+        {"name": "B", "units": 2, "gate": "GB", "source": "n3", "drain": "n4"},
+    ]}))
+    out = tmp_path / "r.json"
+    argv = ["place", str(path), "--rows", "2", "--cols", "4", *FAST, "--db-max", "0"]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "db_max=0" in lines[0] and "2 breaks" in lines[0]
+    assert captured.out == ""
+    assert not out.exists()
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_place_odd_total_default_grid(tmp_path):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"devices": [
+        {"name": "A", "units": 4, "gate": "G", "source": "S", "drain": "D"},
+        {"name": "B", "units": 5, "gate": "G", "source": "S", "drain": "D"},
+    ]}))
+    out = tmp_path / "r.json"
+    assert main(["place", str(path), *FAST, "--out", str(out)]) == 0
+    assert report_from_json(out.read_text()).dims == GridDims(3, 3)
+
+
 def test_cli_schedule_defaults_match_config():
     cfg = SaConfig()
     parser = build_parser()
@@ -346,6 +378,7 @@ def test_cli_entry_point_runs():
 def test_default_grid_dims():
     assert default_grid_dims(24) == GridDims(2, 12)
     assert default_grid_dims(18) == GridDims(2, 9)
-    assert default_grid_dims(15) == GridDims(2, 8)
+    assert default_grid_dims(15) == GridDims(3, 5)
+    assert default_grid_dims(9) == GridDims(3, 3)
     assert default_grid_dims(40) == GridDims(5, 8)
     assert default_grid_dims(29) == GridDims(1, 29)
