@@ -54,10 +54,8 @@ from .oracle import (
     steiner_oracle,
 )
 from .placement import (
-    DUMMY,
     Cell,
     CentroidReport,
-    Dummy,
     GridDims,
     Placement,
     PlacementError,
@@ -73,7 +71,6 @@ from .placement import (
 )
 from .report import (
     RunReport,
-    netlist_from_dict,
     netlist_to_dict,
     parse_rendered,
     render_placement,

@@ -43,7 +43,7 @@ def dispersion(p: Placement) -> Fraction:
     """Interleaving statistic in (-1, 1] over the grid's adjacency edges.
 
     +1 when every edge joins units of different devices, -1 when none does.
-    Edges touching dummies or empty cells count as same-device.
+    Edges touching empty cells count as same-device.
     """
     rows, cols = p.dims.rows, p.dims.cols
     n_edges = 2 * rows * cols - rows - cols

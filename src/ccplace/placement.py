@@ -1,7 +1,7 @@
 """Placement grid for common-centroid unit arrays.
 
-A cell holds the name of the device whose unit sits there, a dummy, or
-nothing.  Units of one device are interchangeable: every objective reads
+A cell holds the name of the device whose unit sits there, or None when it
+is empty.  Units of one device are interchangeable: every objective reads
 only which device occupies each cell, so placements carry no unit identity.
 Coordinates are 1-based: ``x`` is the column (1..cols, left to right), ``y``
 the row (1..rows, top to bottom).  Every operation returns a new placement;
@@ -35,15 +35,8 @@ class GridDims:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True)
-class Dummy:
-    """Non-functional filler unit; shares diffusion with any neighbour."""
-
-
-DUMMY = Dummy()
-
 # A unit cell holds its device's name; empty cells are stored as None.
-Cell = str | Dummy | None
+Cell = str | None
 
 
 @dataclass(frozen=True)
@@ -143,33 +136,28 @@ def check_cc(p: Placement) -> CentroidReport:
 # Diffusion breaks and dummies
 # ---------------------------------------------------------------------------
 
-_SHARES_ANY = object()  # a dummy neighbour shares with anything
-
 
 def break_positions(p: Placement, nl: Netlist) -> frozenset[tuple[int, int]]:
     """Diffusion breaks as (x, y): between columns x and x+1 in row y.
 
     Two horizontally adjacent units share iff some flip orientation brings
     equal nets into contact, i.e. their {source, drain} sets intersect.
-    Dummies share with anything; empty cells have no junction at all.
+    Empty cells have no junction at all.
     """
     nets: dict[str, frozenset[str]] = {d.name: d.diffusion_nets for d in nl.devices}
     out = set()
     for y in range(1, p.dims.rows + 1):
-        prev = None  # left cell's terminal sets, _SHARES_ANY after a dummy, None after empty
+        prev = None  # left cell's terminal sets, None after an empty cell
         for x in range(1, p.dims.cols + 1):
             cell = p.cells[(y - 1) * p.dims.cols + (x - 1)]
             if cell is None:
                 prev = None
                 continue
-            if isinstance(cell, Dummy):
-                prev = _SHARES_ANY
-                continue
             try:
                 terms = nets[cell]
             except KeyError:
                 raise PlacementError(f"device {cell!r} is not in the netlist") from None
-            if prev is not None and prev is not _SHARES_ANY and not (prev & terms):
+            if prev is not None and not (prev & terms):
                 out.add((x - 1, y))
             prev = terms
     return frozenset(out)
@@ -186,32 +174,22 @@ def _gap_orbit(point, rows, cols):
     return {(x, y), (cols - x, y), (x, rows + 1 - y), (cols - x, rows + 1 - y)}
 
 
-def _cell_orbit(point, rows, cols):
-    x, y = point
-    return {(x, y), (cols + 1 - x, y), (x, rows + 1 - y), (cols + 1 - x, rows + 1 - y)}
+def dummy_positions(p: Placement, nl: Netlist) -> frozenset[tuple[int, int]]:
+    """Filler slots needed to fill every break while keeping CC symmetry.
 
-
-def dummy_positions(p: Placement, nl: Netlist) -> frozenset[tuple]:
-    """Dummy slots needed to fill every break while keeping CC symmetry.
-
-    Break gaps and explicit dummy cells are closed under both mirrors and
-    the 180-degree rotation, since a lone filler would destroy the very
-    symmetry the placement exists for.  Entries are tagged ("gap", x, y) or
-    ("cell", x, y).
+    The break gaps are closed under both mirrors and the 180-degree
+    rotation, since a lone filler would destroy the very symmetry the
+    placement exists for.  Gaps are (x, y) as in ``break_positions``.
     """
     rows, cols = p.dims.rows, p.dims.cols
     gaps: set[tuple[int, int]] = set()
     for point in break_positions(p, nl):
         gaps |= _gap_orbit(point, rows, cols)
-    cells: set[tuple[int, int]] = set()
-    for i, c in enumerate(p.cells):
-        if isinstance(c, Dummy):
-            cells |= _cell_orbit(p.coord(i), rows, cols)
-    return frozenset({("gap", x, y) for x, y in gaps} | {("cell", x, y) for x, y in cells})
+    return frozenset(gaps)
 
 
 def count_dummies(p: Placement, nl: Netlist) -> int:
-    """Dummies required by the breaks plus the explicit dummies already placed."""
+    """Dummies required to fill the breaks: the size of the closed gap set."""
     return len(dummy_positions(p, nl))
 
 

@@ -7,21 +7,22 @@ requested.
 
 A unit cell is written as ``[device, index, flip]``: the index counts the
 device's units in row-major order and flip is false, since placements carry
-device names only.  Parsing checks the triple and keeps the device name, so
-reports that numbered units otherwise still read back.
+device names only.  An empty cell is written as null.  Parsing checks the
+triple and keeps the device name, so reports that numbered units otherwise
+still read back.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .anneal import Archive, Solution
-from .netlist import DeviceSpec, Netlist
+from .netlist import Netlist
 from .objectives import ObjectiveVector
-from .placement import DUMMY, Dummy, GridDims, Placement, PlacementError
+from .placement import GridDims, Placement, PlacementError
 
-DUMMY_CHAR = "·"
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 
 
@@ -37,21 +38,12 @@ def _letter_map(names) -> dict[str, str]:
 
 
 def render_placement(p: Placement) -> str:
-    """Character grid: one cell per unit, '·' for dummies, blank for empty."""
-    letters = _letter_map(c for c in p.cells if isinstance(c, str))
-    lines = []
-    for y in range(1, p.dims.rows + 1):
-        chars = []
-        for x in range(1, p.dims.cols + 1):
-            c = p.at(x, y)
-            if isinstance(c, str):
-                chars.append(letters[c])
-            elif isinstance(c, Dummy):
-                chars.append(DUMMY_CHAR)
-            else:
-                chars.append(" ")
-        lines.append(" ".join(chars))
-    return "\n".join(lines)
+    """Character grid: one character per unit, blank for an empty cell,
+    cells separated by one space."""
+    letters = _letter_map(c for c in p.cells if c is not None)
+    cols = p.dims.cols
+    rows = (p.cells[i:i + cols] for i in range(0, p.dims.cells, cols))
+    return "\n".join(" ".join(letters.get(c, " ") for c in row) for row in rows)
 
 
 def parse_rendered(text: str, device_names=None) -> Placement:
@@ -63,26 +55,21 @@ def parse_rendered(text: str, device_names=None) -> Placement:
     lines = text.splitlines()
     if not lines or not any(line.strip() for line in lines):
         raise PlacementError("empty rendering")
+    for y, line in enumerate(lines, 1):
+        for x in range(1, len(line), 2):
+            if line[x] != " ":
+                raise PlacementError(f"line {y}, column {x + 1}: cells must be separated "
+                                     f"by a space, got {line[x]!r}")
     if device_names is None:
-        device_names = sorted(
-            {ch for line in lines for ch in line[::2] if ch not in (" ", DUMMY_CHAR)}
-        )
+        device_names = sorted({ch for line in lines for ch in line[::2]} - {" "})
     inverse = {v: k for k, v in _letter_map(device_names).items()}
     cols = max((len(line) + 1) // 2 for line in lines)
     cells = []
     for line in lines:
-        padded = line.ljust(2 * cols - 1)
-        for x in range(cols):
-            ch = padded[2 * x]
-            if ch == " ":
-                cells.append(None)
-            elif ch == DUMMY_CHAR:
-                cells.append(DUMMY)
-            else:
-                device = inverse.get(ch)
-                if device is None:
-                    raise PlacementError(f"unknown device letter {ch!r}")
-                cells.append(device)
+        for ch in line.ljust(2 * cols - 1)[::2]:
+            if ch != " " and ch not in inverse:
+                raise PlacementError(f"unknown device letter {ch!r}")
+            cells.append(inverse.get(ch))
     return Placement(GridDims(len(lines), cols), tuple(cells))
 
 
@@ -116,23 +103,17 @@ def netlist_to_dict(nl: Netlist) -> dict:
     }
 
 
-def netlist_from_dict(doc: dict) -> Netlist:
-    devices = tuple(
-        DeviceSpec(d["name"], d["units"], d["gate"], d["source"], d["drain"])
-        for d in doc["devices"]
-    )
-    nets = tuple((n["net"], tuple(n["members"])) for n in doc.get("route_nets", []))
-    return Netlist(devices, nets)
-
-
 def _field(doc: dict, key: str, where: str, kind, what: str):
-    """``doc[key]`` checked against ``kind``; a ValueError names the field."""
+    """``doc[key]`` checked against ``kind`` and, for a float, finiteness
+    (``json.loads`` reads NaN and Infinity); a ValueError names the field."""
     name = f"{where}.{key}" if where else key
     if key not in doc:
         raise ValueError(f"{name}: missing field")
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name}: must be {what}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name}: must be finite, got {value}")
     return value
 
 
@@ -157,12 +138,10 @@ def _dims_from_json(doc: dict, where: str) -> GridDims:
 def _cell_from_json(v, where: str):
     if v is None:
         return None
-    if v == "dummy":
-        return DUMMY
     if (isinstance(v, list) and len(v) == 3 and isinstance(v[0], str) and v[0]
             and isinstance(v[1], int) and not isinstance(v[1], bool) and isinstance(v[2], bool)):
         return v[0]
-    raise ValueError(f'{where}: must be null, "dummy" or [device, index, flip]')
+    raise ValueError(f"{where}: must be null or [device, index, flip]")
 
 
 def _placement_to_json(p: Placement) -> dict:
@@ -174,12 +153,15 @@ def _placement_to_json(p: Placement) -> dict:
             seen[c] = k + 1
             cells.append([c, k, False])
         else:
-            cells.append("dummy" if isinstance(c, Dummy) else None)
+            cells.append(None)
     return {"rows": p.dims.rows, "cols": p.dims.cols, "cells": cells}
 
 
-def _placement_from_json(doc: dict, where: str) -> Placement:
+def _placement_from_json(doc: dict, where: str, grid: GridDims) -> Placement:
     dims = _dims_from_json(doc, where)
+    if dims != grid:
+        raise ValueError(f"{where}: {dims.rows}x{dims.cols} differs from the report's "
+                         f"{grid.rows}x{grid.cols} grid")
     cells = _list(doc, "cells", where)
     if len(cells) != dims.cells:
         raise ValueError(f"{where}.cells: expected {dims.cells} cells, got {len(cells)}")
@@ -221,35 +203,41 @@ def report_to_json(r: RunReport, include_timing: bool = False) -> str:
 
 
 def report_from_json(text: str) -> RunReport:
-    """Parse a report; a ValueError names the missing or ill-typed field."""
+    """Parse a report; a ValueError names the missing, ill-typed or
+    inconsistent field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("top level must be an object")
+    dims = _dims_from_json(_object(doc, "grid"), "grid")
     archive = []
     for i, entry in enumerate(_list(doc, "archive")):
         where = f"archive[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{where}: must be an object")
         archive.append(Solution(
-            _placement_from_json(_object(entry, "placement", where), f"{where}.placement"),
+            _placement_from_json(_object(entry, "placement", where), f"{where}.placement", dims),
             _objectives_from_json(_object(entry, "objectives", where), f"{where}.objectives"),
         ))
     ranges = []
     for i, pair in enumerate(_list(doc, "objective_ranges")):
         if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(b, _NUMBER) and not isinstance(b, bool) for b in pair)):
-            raise ValueError(f"objective_ranges[{i}]: must be a [low, high] pair of numbers")
+                and all(isinstance(b, _NUMBER) and not isinstance(b, bool) and math.isfinite(b)
+                        for b in pair)):
+            raise ValueError(f"objective_ranges[{i}]: must be a [low, high] pair of finite numbers")
         ranges.append(tuple(pair))
+    selected = _field(doc, "selected", "", int, "an integer")
+    if not 0 <= selected < len(archive):
+        raise ValueError(f"selected: must index the {len(archive)}-member archive, got {selected}")
     return RunReport(
         seed=_field(doc, "seed", "", int, "an integer"),
         config=_object(doc, "config"),
-        dims=_dims_from_json(_object(doc, "grid"), "grid"),
+        dims=dims,
         netlist=_object(doc, "netlist"),
         archive=archive,
-        selected=_field(doc, "selected", "", int, "an integer"),
+        selected=selected,
         ranges=ranges,
         wall_clock_s=(None if doc.get("wall_clock_s") is None
                       else _field(doc, "wall_clock_s", "", _NUMBER, "a number")),

@@ -121,11 +121,8 @@ def test_criterion_1_formula_fidelity():
             cells = []
             for _ in range(rows * cols):
                 roll = rng.random()
-                if roll < 0.05:
+                if roll < 0.1:
                     cells.append(None)
-                elif roll < 0.1:
-                    from ccplace import DUMMY
-                    cells.append(DUMMY)
                 else:
                     cells.append(chr(ord("A") + rng.randrange(n_devices)))
             p = Placement(GridDims(rows, cols), tuple(cells))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccplace import (
-    DUMMY,
     DeviceSpec,
     GridDims,
     Netlist,
@@ -46,8 +45,8 @@ def test_dispersion_1x1_errors():
 
 
 def test_dispersion_filler_edges_count_zero():
-    # dummies and empty cells never contribute OK=1 edges
-    assert dispersion(make_grid(["A·B", "A B"])) == Fraction(2 * 0 - 7, 7)
+    # edges touching empty cells never count as OK; the two vertical A-B edges do
+    assert dispersion(make_grid(["A B", "B A"])) == Fraction(2 * 2 - 7, 7)
 
 
 # -- inv_wpe ----------------------------------------------------------------
@@ -116,7 +115,7 @@ def test_lde_only_topology_three_nonzero(pair_netlist, topologies):
 @st.composite
 def lde_cases(draw):
     """A placement on a grid up to 8x8 with 1-4 devices of unequal unit
-    counts, empty cells and dummies, plus the netlist of what it holds."""
+    counts and empty cells, plus the netlist of what it holds."""
     rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     n_cells = rows * cols
     n_dev = draw(st.integers(1, min(4, n_cells)))
@@ -127,10 +126,8 @@ def lde_cases(draw):
     counts = [0] * n_dev
     cells = []
     for lab in labels:
-        if lab == -1:
+        if lab < 0:
             cells.append(None)
-        elif lab == -2:
-            cells.append(DUMMY)
         else:
             cells.append(f"M{lab}")
             counts[lab] += 1

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccplace import (
-    DUMMY,
     DeviceSpec,
     GridDims,
     Netlist,
@@ -79,12 +78,12 @@ def test_chained_shared_nets_no_break():
     assert count_diffusion_breaks(make_grid(["ABC"]), nl) == 0
 
 
-def test_dummy_and_empty_cells_break_free():
+def test_empty_cells_break_free():
     nl = Netlist((
         DeviceSpec("A", 2, "GA", "n1", "n2"),
         DeviceSpec("B", 2, "GB", "n3", "n4"),
     ))
-    assert count_diffusion_breaks(make_grid(["A·B", "A B"]), nl) == 0
+    assert count_diffusion_breaks(make_grid(["A B", "B A"]), nl) == 0
 
 
 def test_breaks_only_horizontal():
@@ -124,26 +123,18 @@ def test_generic_gap_closure_is_four():
     assert count_dummies(p, nl) == 4
 
 
-def test_explicit_dummies_count_and_close():
-    nl = Netlist((DeviceSpec("A", 4, "G", "S", "D"),))
-    symmetric = make_grid(["·AA·", "·AA·"])
-    assert count_dummies(symmetric, nl) == 4
-    lone = make_grid(["·AA ", " AA "])
-    assert count_dummies(lone, nl) == 4  # closure of one off-axis dummy cell
-
-
 def test_dummy_positions_symmetry_invariant(disjoint_pair_netlist):
     p = make_grid(["ABAB", "BABA"])
     pos = dummy_positions(p, disjoint_pair_netlist)
     rows, cols = p.dims.rows, p.dims.cols
 
     def mirror_x(e):
-        tag, x, y = e
-        return (tag, (cols - x if tag == "gap" else cols + 1 - x), y)
+        x, y = e
+        return (cols - x, y)  # gap x sits between columns x and x+1
 
     def mirror_y(e):
-        tag, x, y = e
-        return (tag, x, rows + 1 - y)
+        x, y = e
+        return (x, rows + 1 - y)
 
     assert {mirror_x(e) for e in pos} == set(pos)
     assert {mirror_y(e) for e in pos} == set(pos)

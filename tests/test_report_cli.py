@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from ccplace import (
-    DUMMY,
     Archive,
     DeviceSpec,
     GridDims,
@@ -16,8 +15,9 @@ from ccplace import (
     SaConfig,
     Solution,
     evaluate,
-    netlist_from_dict,
+    PlacementError,
     netlist_to_dict,
+    parse_netlist,
     parse_rendered,
     render_placement,
     report_from_json,
@@ -36,9 +36,10 @@ def test_render_row():
     assert render_placement(make_grid(["ABBA"])) == "A B B A"
 
 
-def test_render_dummy_and_empty():
-    p = Placement(GridDims(1, 3), ("A", DUMMY, None))
-    assert render_placement(p) == "A ·  "
+def test_render_empty_cell():
+    p = Placement(GridDims(1, 3), ("A", None, "B"))
+    assert render_placement(p) == "A   B"
+    assert parse_rendered("A   B") == p
 
 
 def test_render_parse_round_trip(topologies):
@@ -58,6 +59,11 @@ def test_render_multi_char_names():
 def test_parse_rendered_rejects_garbage():
     with pytest.raises(Exception):
         parse_rendered("", ["A"])
+    # a character in a separator column is an error, not a dropped cell
+    with pytest.raises(PlacementError, match="line 1, column 2"):
+        parse_rendered("AB")
+    with pytest.raises(PlacementError, match="line 2, column 4"):
+        parse_rendered("A B\nB AB")
 
 
 # -- report round trip ----------------------------------------------------------
@@ -123,7 +129,7 @@ def test_report_numbers_units_row_major(pair_netlist):
 
 
 def test_netlist_dict_round_trip(pair_netlist):
-    assert netlist_from_dict(netlist_to_dict(pair_netlist)) == pair_netlist
+    assert parse_netlist(json.dumps(netlist_to_dict(pair_netlist))) == pair_netlist
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -259,6 +265,14 @@ _BAD_REPORTS = [
      "archive[0].objectives.routing_cost"),
     (lambda d: d["archive"][0]["placement"].update(cells=[]), "archive[0].placement.cells"),
     (lambda d: d.update(objective_ranges=[[0, 1, 2]]), "objective_ranges[0]"),
+    (lambda d: d["archive"][0]["placement"]["cells"].__setitem__(0, "dummy"),
+     "archive[0].placement.cells[0]"),
+    (lambda d: d.update(selected=len(d["archive"])), "selected"),
+    (lambda d: d["archive"][0]["placement"].update(rows=1, cols=8), "archive[0].placement"),
+    (lambda d: d["archive"][0]["objectives"].update(neg_dispersion=float("nan")),
+     "archive[0].objectives.neg_dispersion"),
+    (lambda d: d.update(objective_ranges=[[0, 1], [0, float("inf")]]), "objective_ranges[1]"),
+    (lambda d: d.update(wall_clock_s=float("-inf")), "wall_clock_s"),
 ]
 
 
