@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -72,10 +74,19 @@ class Solution:
 
 
 class Archive:
-    """Insertion-ordered set of mutually non-dominated solutions."""
+    """Insertion-ordered set of mutually non-dominated solutions.
+
+    Two indexes sit next to the ordered list and always describe it
+    exactly: the set of (vector, cells) keys of the members, and a dict from
+    each distinct member vector to its number of members.  Members with one
+    vector are evicted together, so the dict keeps its vectors in the order
+    of their first member in the list.
+    """
 
     def __init__(self):
         self._solutions: list[Solution] = []
+        self._keys: set[tuple[ObjectiveVector, tuple]] = set()
+        self._counts: dict[ObjectiveVector, int] = {}
 
     def __len__(self) -> int:
         return len(self._solutions)
@@ -87,29 +98,37 @@ class Archive:
     def solutions(self) -> tuple[Solution, ...]:
         return tuple(self._solutions)
 
+    def vector_counts(self) -> Mapping[ObjectiveVector, int]:
+        """Read-only view: each distinct member vector and its member count."""
+        return MappingProxyType(self._counts)
+
     def insert(self, sol: Solution) -> bool:
         """Admit ``sol`` unless dominated; evict members it dominates.
 
         Exact duplicates (same cells and same vector) are rejected;
-        distinct placements with equal vectors coexist.  One pass settles
-        every member: because members are mutually non-dominated, a member
-        equal to ``sol``'s vector or dominating it rules out any eviction,
-        so the pass may stop there and leave the archive as it was.
+        distinct placements with equal vectors coexist.  Domination is
+        tested against the distinct vectors only.  Because members are
+        mutually non-dominated, a member with ``sol``'s vector rules out
+        both domination of ``sol`` and any eviction, and the list is
+        rebuilt only when some vector is evicted.
         """
         vec = sol.objectives
-        cells = sol.placement.cells
-        kept = []
-        for s in self._solutions:
-            if s.objectives == vec:
-                if s.placement.cells == cells:
-                    return False
-            elif dominates(s.objectives, vec):
+        key = (vec, sol.placement.cells)
+        if key in self._keys:
+            return False
+        counts = self._counts
+        if vec not in counts:
+            if any(dominates(v, vec) for v in counts):
                 return False
-            elif dominates(vec, s.objectives):
-                continue
-            kept.append(s)
-        kept.append(sol)
-        self._solutions = kept
+            beaten = [v for v in counts if dominates(vec, v)]
+            if beaten:
+                for v in beaten:
+                    del counts[v]
+                self._solutions = [s for s in self._solutions if s.objectives in counts]
+                self._keys = {(s.objectives, s.placement.cells) for s in self._solutions}
+        self._solutions.append(sol)
+        self._keys.add(key)
+        counts[vec] = counts.get(vec, 0) + 1
         return True
 
 
@@ -128,22 +147,27 @@ def accept_probability(delta_avg: float, temp: float) -> float:
     return 1.0 / (1.0 + math.exp(x))
 
 
-def delta_dom_avg(cur: Solution, new_pts, archive, ranges: ObjectiveRanges) -> float:
+def delta_dom_avg(cur: Solution, new_pts, archive: Archive, ranges: ObjectiveRanges) -> float:
     """Mean domination amount exerted on the candidates by the archive and
     the current point.
 
     Averages over every (archive member, candidate) pair with domination
     plus every candidate the current point dominates.  With no such
     relation it is 0.0, which makes the acceptance probability a neutral
-    0.5.
+    0.5.  Members sharing a vector exert the same terms, so each distinct
+    vector's terms are computed once and added once per member, in the
+    order of ``Archive.vector_counts``.
     """
     total = 0.0
     count = 0
-    for s in archive:
-        for cand in new_pts:
-            if dominates(s.objectives, cand.objectives):
-                total += delta_dom(s.objectives, cand.objectives, ranges)
-                count += 1
+    for v, members in archive.vector_counts().items():
+        terms = [delta_dom(v, cand.objectives, ranges)
+                 for cand in new_pts if dominates(v, cand.objectives)]
+        if terms:
+            count += members * len(terms)
+            for _ in range(members):
+                for t in terms:
+                    total += t
     for cand in new_pts:
         if dominates(cur.objectives, cand.objectives):
             total += delta_dom(cur.objectives, cand.objectives, ranges)

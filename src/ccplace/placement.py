@@ -105,8 +105,7 @@ def _centroid_sums(p: Placement) -> tuple[dict[str, list[int]], bool]:
 
     Returns per device [sum of x, sum of y, unit count] and whether every
     device's centroid sits at the array centre, i.e. 2*sum == n*(size+1) on
-    both axes.  The perturbation filter reads only the flag; ``check_cc``
-    turns the sums into exact centroids.
+    both axes.  ``check_cc`` turns the sums into exact centroids.
     """
     cols = p.dims.cols
     sums: dict[str, list[int]] = {}
@@ -255,6 +254,28 @@ def transform_xy180(p: Placement, x_name: str, y_name: str) -> Placement:
     return Placement(p.dims, p.cells[:start] + second)
 
 
+def _half_sums(p: Placement) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """Per device [sum of x, sum of y, unit count] over the first half of the
+    grid and over the second half.  The first half ends before row-major
+    index (cells + 1) // 2, so it holds the centre cell of an odd grid, which
+    ``transform_xy180`` never moves."""
+    cols = p.dims.cols
+    start = (p.dims.cells + 1) // 2
+    halves: tuple[dict[str, list[int]], dict[str, list[int]]] = ({}, {})
+    for i, c in enumerate(p.cells):
+        if c is not None:
+            y, x = divmod(i, cols)
+            sums = halves[i >= start]
+            acc = sums.get(c)
+            if acc is None:
+                sums[c] = [x + 1, y + 1, 1]
+            else:
+                acc[0] += x + 1
+                acc[1] += y + 1
+                acc[2] += 1
+    return halves
+
+
 def enumerate_perturbations(
     p: Placement,
     nl: Netlist,
@@ -266,9 +287,22 @@ def enumerate_perturbations(
     equal-count device pairs, filtered down to admissible CC candidates.
 
     ``rng`` needs a numpy-Generator-compatible ``integers``.  Candidates
-    identical to ``p`` (no-op swaps) are dropped; the rest must pass the CC
-    check and the break/dummy bounds.  May return [] -- the caller simply
+    identical to ``p`` (no-op swaps) are dropped; the rest must be CC and
+    within the break/dummy bounds.  May return [] -- the caller simply
     retries with a fresh draw on the next iteration.
+
+    CC is decided before a label exchange is built, from half sums of the
+    swapped placement ``base`` (see ``_half_sums``).  A device with sums
+    (sx, sy, n) is centred iff 2*sx == n*(cols+1) and 2*sy == n*(rows+1).
+    ``base`` is CC iff every device is centred.  Exchanging X and Y in the
+    second half moves no other unit, so that exchange is CC iff every other
+    device is centred, X's first half plus Y's second half is centred, and
+    so is Y's first half plus X's second half.  Only the passing exchanges
+    are built; then come the dedup against ``p`` and earlier candidates and
+    the bound checks, in that order.  Dropping a non-CC candidate before the
+    dedup rather than after it cannot change the output: identical cells
+    get identical CC verdicts, so a cell tuple that only a non-CC candidate
+    added to the dedup set can never match a CC candidate.
     """
     half = p.dims.cells // 2
     spots = [i for i in range(half) if isinstance(p.cells[i], str)]
@@ -280,12 +314,25 @@ def enumerate_perturbations(
         j += 1
     base = swap_mirrored(p, p.coord(spots[i]), p.coord(spots[j]))
 
-    candidates = [base]
-    for ai in range(len(nl.devices)):
-        for bi in range(ai + 1, len(nl.devices)):
-            da, db = nl.devices[ai], nl.devices[bi]
-            if da.unit_count == db.unit_count:
-                candidates.append(transform_xy180(base, da.name, db.name))
+    cols1, rows1 = p.dims.cols + 1, p.dims.rows + 1
+    first, second = _half_sums(base)
+    zero = (0, 0, 0)
+
+    def centred(a, b):
+        n = a[2] + b[2]
+        return 2 * (a[0] + b[0]) == n * cols1 and 2 * (a[1] + b[1]) == n * rows1
+
+    off = {d for d in first.keys() | second.keys()
+           if not centred(first.get(d, zero), second.get(d, zero))}
+    candidates = [] if off else [base]
+    if len(off) <= 2:
+        for ai in range(len(nl.devices)):
+            for bi in range(ai + 1, len(nl.devices)):
+                x, y = nl.devices[ai].name, nl.devices[bi].name
+                if (nl.devices[ai].unit_count == nl.devices[bi].unit_count and off <= {x, y}
+                        and centred(first.get(x, zero), second.get(y, zero))
+                        and centred(first.get(y, zero), second.get(x, zero))):
+                    candidates.append(transform_xy180(base, x, y))
 
     out = []
     seen = {p.cells}
@@ -293,8 +340,6 @@ def enumerate_perturbations(
         if cand.cells in seen:
             continue
         seen.add(cand.cells)
-        if not _centroid_sums(cand)[1]:
-            continue
         if db_max is not None and count_diffusion_breaks(cand, nl) > db_max:
             continue
         if dummy_max is not None and count_dummies(cand, nl) > dummy_max:

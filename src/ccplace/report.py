@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .anneal import Archive, Solution
 from .netlist import Netlist
-from .objectives import ObjectiveVector
+from .objectives import OBJECTIVE_NAMES, ObjectiveVector
 from .placement import GridDims, Placement, PlacementError
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
@@ -135,11 +135,23 @@ def _dims_from_json(doc: dict, where: str) -> GridDims:
     return GridDims(rows, cols)
 
 
-def _cell_from_json(v, where: str):
+def _device_names(netlist: dict) -> frozenset[str]:
+    names = set()
+    for i, device in enumerate(_list(netlist, "devices", "netlist")):
+        where = f"netlist.devices[{i}]"
+        if not isinstance(device, dict):
+            raise ValueError(f"{where}: must be an object")
+        names.add(_field(device, "name", where, str, "a string"))
+    return frozenset(names)
+
+
+def _cell_from_json(v, where: str, devices: frozenset[str]):
     if v is None:
         return None
     if (isinstance(v, list) and len(v) == 3 and isinstance(v[0], str) and v[0]
             and isinstance(v[1], int) and not isinstance(v[1], bool) and isinstance(v[2], bool)):
+        if v[0] not in devices:
+            raise ValueError(f"{where}: device {v[0]!r} is not in the report's netlist")
         return v[0]
     raise ValueError(f"{where}: must be null or [device, index, flip]")
 
@@ -157,7 +169,7 @@ def _placement_to_json(p: Placement) -> dict:
     return {"rows": p.dims.rows, "cols": p.dims.cols, "cells": cells}
 
 
-def _placement_from_json(doc: dict, where: str, grid: GridDims) -> Placement:
+def _placement_from_json(doc: dict, where: str, grid: GridDims, devices: frozenset[str]) -> Placement:
     dims = _dims_from_json(doc, where)
     if dims != grid:
         raise ValueError(f"{where}: {dims.rows}x{dims.cols} differs from the report's "
@@ -165,16 +177,24 @@ def _placement_from_json(doc: dict, where: str, grid: GridDims) -> Placement:
     cells = _list(doc, "cells", where)
     if len(cells) != dims.cells:
         raise ValueError(f"{where}.cells: expected {dims.cells} cells, got {len(cells)}")
-    return Placement(dims, tuple(_cell_from_json(c, f"{where}.cells[{i}]") for i, c in enumerate(cells)))
+    return Placement(dims, tuple(_cell_from_json(c, f"{where}.cells[{i}]", devices)
+                                 for i, c in enumerate(cells)))
+
+
+def _count(doc: dict, key: str, where: str) -> int:
+    value = _field(doc, key, where, int, "an integer")
+    if value < 0:
+        raise ValueError(f"{where}.{key}: must be non-negative, got {value}")
+    return value
 
 
 def _objectives_from_json(doc: dict, where: str) -> ObjectiveVector:
     return ObjectiveVector(
         neg_dispersion=_field(doc, "neg_dispersion", where, _NUMBER, "a number"),
         lde_mismatch=_field(doc, "lde_mismatch", where, _NUMBER, "a number"),
-        routing_cost=_field(doc, "routing_cost", where, int, "an integer"),
-        diffusion_breaks=_field(doc, "diffusion_breaks", where, int, "an integer"),
-        dummy_count=_field(doc, "dummy_count", where, int, "an integer"),
+        routing_cost=_count(doc, "routing_cost", where),
+        diffusion_breaks=_count(doc, "diffusion_breaks", where),
+        dummy_count=_count(doc, "dummy_count", where),
     )
 
 
@@ -212,13 +232,15 @@ def report_from_json(text: str) -> RunReport:
     if not isinstance(doc, dict):
         raise ValueError("top level must be an object")
     dims = _dims_from_json(_object(doc, "grid"), "grid")
+    netlist = _object(doc, "netlist")
+    devices = _device_names(netlist)
     archive = []
     for i, entry in enumerate(_list(doc, "archive")):
         where = f"archive[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{where}: must be an object")
         archive.append(Solution(
-            _placement_from_json(_object(entry, "placement", where), f"{where}.placement", dims),
+            _placement_from_json(_object(entry, "placement", where), f"{where}.placement", dims, devices),
             _objectives_from_json(_object(entry, "objectives", where), f"{where}.objectives"),
         ))
     ranges = []
@@ -228,6 +250,8 @@ def report_from_json(text: str) -> RunReport:
                         for b in pair)):
             raise ValueError(f"objective_ranges[{i}]: must be a [low, high] pair of finite numbers")
         ranges.append(tuple(pair))
+    if len(ranges) != len(OBJECTIVE_NAMES):
+        raise ValueError(f"objective_ranges: must hold {len(OBJECTIVE_NAMES)} pairs, got {len(ranges)}")
     selected = _field(doc, "selected", "", int, "an integer")
     if not 0 <= selected < len(archive):
         raise ValueError(f"selected: must index the {len(archive)}-member archive, got {selected}")
@@ -235,7 +259,7 @@ def report_from_json(text: str) -> RunReport:
         seed=_field(doc, "seed", "", int, "an integer"),
         config=_object(doc, "config"),
         dims=dims,
-        netlist=_object(doc, "netlist"),
+        netlist=netlist,
         archive=archive,
         selected=selected,
         ranges=ranges,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from ccplace import (
     Netlist,
     ObjectiveRanges,
     ObjectiveVector,
+    Placement,
     PlacementError,
     SaConfig,
     Solution,
@@ -22,6 +24,7 @@ from ccplace import (
     check_cc,
     count_diffusion_breaks,
     current_mirror_netlist,
+    delta_dom,
     delta_dom_avg,
     dominates,
     find_case,
@@ -80,15 +83,22 @@ def unit_ranges():
     return ObjectiveRanges.from_bounds([(0, 1)] * 5)
 
 
+def archive_of(*sols):
+    archive = Archive()
+    for s in sols:
+        archive.insert(s)
+    return archive
+
+
 def test_avg_single_cur_domination():
     cur = sol(0, 0, 0, 0, 0)
     new = [sol(1, 0, 0, 0, 0)]
-    assert delta_dom_avg(cur, new, [], unit_ranges()) == pytest.approx(1.0, abs=1e-12)
+    assert delta_dom_avg(cur, new, Archive(), unit_ranges()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_avg_archive_only_k1_zero():
     cur = sol(1, 0, 0, 0, 1)  # does not dominate the candidate
-    archive = [sol(0, 0, 0, 0, 0)]
+    archive = archive_of(sol(0, 0, 0, 0, 0))
     new = [sol(0.5, 0, 0, 0, 0)]
     expected = 0.5  # single archive pair, single differing component
     assert delta_dom_avg(cur, new, archive, unit_ranges()) == pytest.approx(expected, abs=1e-12)
@@ -99,13 +109,38 @@ def test_avg_mean_of_two():
     new = [sol(1, 0, 0, 0, 0), sol(0, 1, 0, 0, 0)]
     r = ObjectiveRanges.from_bounds([(0, 1), (0, 1 / 3), (0, 1), (0, 1), (0, 1)])
     # amounts 1 and 3 -> mean 2
-    assert delta_dom_avg(cur, new, [], r) == pytest.approx(2.0, abs=1e-12)
+    assert delta_dom_avg(cur, new, Archive(), r) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_avg_requires_a_relation():
     cur = sol(1, 0, 0, 0, 1)
     new = [sol(0, 1, 1, 1, 0)]
-    assert delta_dom_avg(cur, new, [], unit_ranges()) == 0.0
+    assert delta_dom_avg(cur, new, Archive(), unit_ranges()) == 0.0
+
+
+# Mutually non-dominated vectors with non-dyadic components, so that the
+# order of the float sum could show; members repeat them on distinct cells.
+_TRADE_OFFS = [vec(0.1 * k, 0.7 - 0.1 * k, 3 - k % 3, 0, 0) for k in range(4)]
+
+
+@given(st.lists(st.sampled_from(_TRADE_OFFS), min_size=1, max_size=60),
+       st.lists(st.tuples(st.floats(0, 2), st.floats(0, 2), st.integers(0, 4)), min_size=1, max_size=4),
+       st.lists(st.floats(0.05, 5), min_size=5, max_size=5))
+@settings(deadline=None, max_examples=300)
+def test_avg_grouped_equals_archive_order_sum(members, cands, widths):
+    archive = archive_of(*(Solution(Placement(GridDims(1, 1), (f"P{i}",)), v)
+                           for i, v in enumerate(members)))
+    cur = sol(1, 1, 1, 0, 0)
+    new = [sol(a, b, c, 0, 0) for a, b, c in cands]
+    ranges = ObjectiveRanges.from_bounds([(0, w) for w in widths])
+    total, count = 0.0, 0
+    for s in [*archive, cur]:
+        for cand in new:
+            if dominates(s.objectives, cand.objectives):
+                total += delta_dom(s.objectives, cand.objectives, ranges)
+                count += 1
+    want = total / count if count else 0.0
+    assert delta_dom_avg(cur, new, archive, ranges) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 # -- case resolution ----------------------------------------------------------
@@ -114,14 +149,14 @@ def test_avg_requires_a_relation():
 def test_case3_dominator_adopted_unconditionally():
     cur = sol(1, 1, 1, 1, 1)
     better = sol(0, 0, 0, 0, 0)
-    out = _choose_next(cur, [better], [], unit_ranges(), 1e-9, FakeRng(integers=[0]))
+    out = _choose_next(cur, [better], Archive(), unit_ranges(), 1e-9, FakeRng(integers=[0]))
     assert out is better  # no probability draw happens even at cold temps
 
 
 def test_case1_zero_survivors_keeps_cur():
     cur = sol(0, 0, 0, 0, 0)
     worse = sol(1, 1, 1, 1, 1)
-    out = _choose_next(cur, [worse], [], unit_ranges(), 1.0, FakeRng())
+    out = _choose_next(cur, [worse], Archive(), unit_ranges(), 1.0, FakeRng())
     assert out is cur
 
 
@@ -130,18 +165,20 @@ def test_case1_survivor_accepted_with_probability():
     dominated = sol(1, 1, 1, 0, 0)
     survivor = sol(1, 0, 0, 0, 0)  # trade-off against cur
     new = [dominated, survivor]
-    win = _choose_next(cur, new, [], unit_ranges(), 100.0, FakeRng(integers=[0], randoms=[0.0]))
+    win = _choose_next(cur, new, Archive(), unit_ranges(), 100.0, FakeRng(integers=[0], randoms=[0.0]))
     assert win is survivor
-    lose = _choose_next(cur, new, [], unit_ranges(), 100.0, FakeRng(integers=[0], randoms=[0.9]))
+    lose = _choose_next(cur, new, Archive(), unit_ranges(), 100.0, FakeRng(integers=[0], randoms=[0.9]))
     assert lose is cur
 
 
 def test_case2_neutral_probability_when_no_relations():
     cur = sol(1, 0, 0, 0, 1)
     other = sol(0, 1, 1, 1, 0)
-    accepted = _choose_next(cur, [other], [], unit_ranges(), 1e-9, FakeRng(integers=[0], randoms=[0.49]))
+    accepted = _choose_next(cur, [other], Archive(), unit_ranges(), 1e-9,
+                            FakeRng(integers=[0], randoms=[0.49]))
     assert accepted is other  # probability is exactly 0.5 in the no-relation case
-    rejected = _choose_next(cur, [other], [], unit_ranges(), 1e-9, FakeRng(integers=[0], randoms=[0.51]))
+    rejected = _choose_next(cur, [other], Archive(), unit_ranges(), 1e-9,
+                            FakeRng(integers=[0], randoms=[0.51]))
     assert rejected is cur
 
 
@@ -183,6 +220,9 @@ def test_archive_matches_naive_front(items):
     archive = Archive()
     for s in sols:
         archive.insert(s)
+        members = [m.objectives for m in archive]
+        assert archive.vector_counts() == Counter(members)
+        assert list(archive.vector_counts()) == list(dict.fromkeys(members))
     expected = []
     for s in sols:
         if not any(dominates(o.objectives, s.objectives) for o in sols) and s not in expected:
@@ -436,8 +476,7 @@ def test_seeded_archives_are_pinned():
         sols = list(run(nl, dims, SaConfig(seed=1)))
         doc = {
             "members": [
-                [[c if isinstance(c, str) or c is None else "dummy" for c in s.placement.cells],
-                 list(s.objectives.as_tuple())]
+                [list(s.placement.cells), list(s.objectives.as_tuple())]
                 for s in sols
             ],
             "selected": sols.index(select_solution(sols)),

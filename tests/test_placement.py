@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from ccplace import (
     transform_xx180,
     transform_xy180,
 )
-from ccplace.oracle import pattern_classes
+from ccplace.oracle import cc_enumerate, pattern_classes
 
 from conftest import FakeRng, make_grid
 
@@ -286,6 +288,101 @@ def test_enumerate_bound_filter_can_empty(disjoint_pair_netlist, topologies):
     out = enumerate_perturbations(topologies[2], disjoint_pair_netlist, rng,
                                   db_max=2, dummy_max=2)
     assert out == []
+
+
+def test_enumerate_exchange_restores_cc_of_a_non_cc_swap(pair_netlist, topologies):
+    # swapping (1,1) and (2,1) on ABBA/BAAB leaves both devices off centre;
+    # the A/B exchange of the second half puts them back
+    rng = FakeRng(integers=[0, 0])
+    base = swap_mirrored(topologies[4], (1, 1), (2, 1))
+    assert not check_cc(base).is_cc
+    out = enumerate_perturbations(topologies[4], pair_netlist, rng)
+    assert [p.cells for p in out] == [make_grid(["BABA", "ABAB"]).cells]
+
+
+def _netlist(*devices):
+    return Netlist(tuple(DeviceSpec(name, units, "G", src, drn) for name, units, src, drn in devices))
+
+
+def test_enumerate_off_centre_bystander_vetoes_every_exchange():
+    # C sits off centre and the A/A swap leaves it there.  Exchanging A and
+    # B centres both of them (their half sums are equal), yet C still
+    # makes the candidate non-CC.
+    nl = _netlist(("A", 4, "S", "D"), ("B", 4, "S", "D"), ("C", 2, "S", "D"))
+    p = make_grid(["ABC BA", "ABC BA"])
+    assert enumerate_perturbations(p, nl, FakeRng(integers=[0, 3])) == []
+    exchanged = transform_xy180(p, "A", "B")
+    assert check_cc(exchanged).centroids["A"] == check_cc(exchanged).center
+    assert not check_cc(exchanged).is_cc
+
+
+# Instances for the differential test: shared and disjoint diffusion nets
+# (so the bounds bite), empty cells, and an odd grid with a centre device.
+_DIFF_INSTANCES = [
+    (_netlist(("A", 4, "S", "D"), ("B", 4, "S", "D")), GridDims(2, 4)),
+    (_netlist(("A", 2, "n1", "n2"), ("B", 2, "n1", "n3"), ("C", 2, "n4", "n5"), ("D", 2, "n4", "n6")),
+     GridDims(2, 4)),
+    (_netlist(("A", 2, "n1", "n2"), ("B", 2, "n3", "n4"), ("C", 2, "n1", "n5")), GridDims(2, 4)),
+    (_netlist(("A", 4, "n1", "n2"), ("B", 4, "n1", "n3"), ("C", 4, "n4", "n5")), GridDims(2, 6)),
+    (_netlist(("A", 3, "n1", "n2"), ("B", 2, "n1", "n3"), ("C", 2, "n4", "n5"), ("D", 2, "n2", "n4")),
+     GridDims(3, 3)),
+    (_netlist(("A", 1, "n1", "n2"), ("B", 4, "n1", "n3"), ("C", 4, "n4", "n5")), GridDims(3, 3)),
+]
+
+
+@cache
+def _cc_placements(k):
+    return cc_enumerate(*_DIFF_INSTANCES[k])
+
+
+def _naive_perturbations(p, nl, rng, db_max, dummy_max):
+    """Build every candidate, dedup, then the CC check, then the bounds."""
+    half = p.dims.cells // 2
+    spots = [i for i in range(half) if isinstance(p.cells[i], str)]
+    if len(spots) < 2:
+        return []
+    i = int(rng.integers(len(spots)))
+    j = int(rng.integers(len(spots) - 1))
+    if j >= i:
+        j += 1
+    base = swap_mirrored(p, p.coord(spots[i]), p.coord(spots[j]))
+    candidates = [base] + [
+        transform_xy180(base, a.name, b.name)
+        for ai, a in enumerate(nl.devices) for b in nl.devices[ai + 1:]
+        if a.unit_count == b.unit_count
+    ]
+    out = []
+    seen = {p.cells}
+    for cand in candidates:
+        if cand.cells in seen:
+            continue
+        seen.add(cand.cells)
+        if not check_cc(cand).is_cc:
+            continue
+        if db_max is not None and count_diffusion_breaks(cand, nl) > db_max:
+            continue
+        if dummy_max is not None and count_dummies(cand, nl) > dummy_max:
+            continue
+        out.append(cand)
+    return out
+
+
+@given(st.data(), st.integers(0, len(_DIFF_INSTANCES) - 1), st.booleans(), st.integers(0, 2**32 - 1),
+       st.sampled_from([None, 0, 2]), st.sampled_from([None, 0, 2]))
+@settings(deadline=None, max_examples=400)
+def test_enumerate_matches_naive_reference(data, k, cc, seed, db_max, dummy_max):
+    # p is a CC placement, or any arrangement: an off-centre device that the
+    # swap leaves alone must still veto every candidate
+    nl, dims = _DIFF_INSTANCES[k]
+    if cc:
+        placements = _cc_placements(k)
+        p = placements[data.draw(st.integers(0, len(placements) - 1))]
+    else:
+        units = [d.name for d in nl.devices for _ in range(d.unit_count)]
+        p = Placement(dims, tuple(data.draw(st.permutations(units + [None] * (dims.cells - len(units))))))
+    got = enumerate_perturbations(p, nl, np.random.default_rng(seed), db_max, dummy_max)
+    want = _naive_perturbations(p, nl, np.random.default_rng(seed), db_max, dummy_max)
+    assert got == want
 
 
 def test_enumerate_drops_noop_same_device_swap(pair_netlist, topologies):

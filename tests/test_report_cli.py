@@ -273,6 +273,12 @@ _BAD_REPORTS = [
      "archive[0].objectives.neg_dispersion"),
     (lambda d: d.update(objective_ranges=[[0, 1], [0, float("inf")]]), "objective_ranges[1]"),
     (lambda d: d.update(wall_clock_s=float("-inf")), "wall_clock_s"),
+    (lambda d: d.update(objective_ranges=[[0, 1]]), "objective_ranges"),
+    (lambda d: d["archive"][0]["placement"]["cells"].__setitem__(0, ["Z", 0, False]),
+     "archive[0].placement.cells[0]: device 'Z'"),
+    (lambda d: d["archive"][0]["objectives"].update(diffusion_breaks=-1),
+     "archive[0].objectives.diffusion_breaks"),
+    (lambda d: d["netlist"].pop("devices"), "netlist.devices"),
 ]
 
 
