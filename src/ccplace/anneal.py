@@ -197,11 +197,17 @@ def _choose_next(cur, new_pts, archive, ranges, temp, rng):
 
 
 class CcAnnealer:
-    """Binds a netlist and grid to the annealing loop, caching evaluations.
+    """Binds a netlist and grid to the annealing loop, caching evaluations
+    and moves.
 
     Objective evaluation is pure, so candidates are evaluated in their
     deterministic enumeration order (and could run in parallel) before any
-    RNG draw happens; seed reproducibility is unaffected.
+    RNG draw happens; seed reproducibility is unaffected.  The move cache
+    holds the CC candidates of each (placement, swap) pair that
+    ``enumerate_perturbations`` has built, for any bounds.  Like the
+    evaluation cache, it lives as long as the annealer and is never pruned:
+    it grows by at most one entry per step, the evaluation cache by at most
+    one per candidate.
     """
 
     def __init__(self, nl: Netlist, dims: GridDims, cfg: SaConfig | None = None):
@@ -211,6 +217,7 @@ class CcAnnealer:
         self.ranges = ObjectiveRanges()
         self._route_cache: dict = {}
         self._eval_cache: dict = {}
+        self._move_cache: dict = {}
         self.archive = Archive()
         self.initial = initial_placement(nl, dims, evaluate_fn=self.evaluate)
         o = self.initial.objectives
@@ -231,7 +238,7 @@ class CcAnnealer:
         """One perturbation round; updates the archive in place and returns
         the next current point (``cur`` itself when nothing was admissible)."""
         candidates = enumerate_perturbations(
-            cur.placement, self.netlist, rng, self.db_max, self.dummy_max
+            cur.placement, self.netlist, rng, self.db_max, self.dummy_max, cache=self._move_cache
         )
         if not candidates:
             return cur

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class NetlistError(ValueError):
@@ -66,6 +67,12 @@ class Netlist:
             for member in members:
                 if member not in known:
                     raise NetlistError(f"route net {net!r} references unknown device {member!r}")
+
+    @cached_property
+    def diffusion_nets(self) -> dict[str, frozenset[str]]:
+        """Each device name's ``DeviceSpec.diffusion_nets``, built once per
+        netlist; treat it as read-only."""
+        return {d.name: d.diffusion_nets for d in self.devices}
 
     @property
     def total_units(self) -> int:

@@ -143,7 +143,7 @@ def break_positions(p: Placement, nl: Netlist) -> frozenset[tuple[int, int]]:
     equal nets into contact, i.e. their {source, drain} sets intersect.
     Empty cells have no junction at all.
     """
-    nets: dict[str, frozenset[str]] = {d.name: d.diffusion_nets for d in nl.devices}
+    nets = nl.diffusion_nets
     out = set()
     for y in range(1, p.dims.rows + 1):
         prev = None  # left cell's terminal sets, None after an empty cell
@@ -282,6 +282,8 @@ def enumerate_perturbations(
     rng,
     db_max: int | None = None,
     dummy_max: int | None = None,
+    *,
+    cache: dict | None = None,
 ) -> list[Placement]:
     """One random mirrored swap plus every label-exchange variant over
     equal-count device pairs, filtered down to admissible CC candidates.
@@ -303,6 +305,15 @@ def enumerate_perturbations(
     dedup rather than after it cannot change the output: identical cells
     get identical CC verdicts, so a cell tuple that only a non-CC candidate
     added to the dedup set can never match a CC candidate.
+
+    ``cache`` memoises the CC candidates of a swap.  Its key is
+    ``(p.cells, min(a, b), max(a, b))`` with ``a`` and ``b`` the row-major
+    indices of the two swapped first-half cells, and its value is the list
+    of deduplicated CC candidates before the bound checks, which depends on
+    the cells, the swap and the netlist only.  So one cache serves any
+    bounds, but only one netlist.  The swap is drawn from ``rng`` before the
+    lookup, so a hit and a miss consume the same draws, and the bound checks
+    run on every call.
     """
     half = p.dims.cells // 2
     spots = [i for i in range(half) if isinstance(p.cells[i], str)]
@@ -312,7 +323,28 @@ def enumerate_perturbations(
     j = int(rng.integers(len(spots) - 1))
     if j >= i:
         j += 1
-    base = swap_mirrored(p, p.coord(spots[i]), p.coord(spots[j]))
+    a, b = spots[i], spots[j]
+    if cache is None:
+        cache = {}
+    key = (p.cells, min(a, b), max(a, b))
+    candidates = cache.get(key)
+    if candidates is None:
+        candidates = cache[key] = _cc_candidates(p, nl, a, b)
+
+    out = []
+    for cand in candidates:
+        if db_max is not None and count_diffusion_breaks(cand, nl) > db_max:
+            continue
+        if dummy_max is not None and count_dummies(cand, nl) > dummy_max:
+            continue
+        out.append(cand)
+    return out
+
+
+def _cc_candidates(p: Placement, nl: Netlist, ia: int, ib: int) -> list[Placement]:
+    """The CC candidates of swapping first-half cells ``ia`` and ``ib`` of
+    ``p``, deduplicated against ``p`` and each other, before any bound."""
+    base = swap_mirrored(p, p.coord(ia), p.coord(ib))
 
     cols1, rows1 = p.dims.cols + 1, p.dims.rows + 1
     first, second = _half_sums(base)
@@ -337,12 +369,7 @@ def enumerate_perturbations(
     out = []
     seen = {p.cells}
     for cand in candidates:
-        if cand.cells in seen:
-            continue
-        seen.add(cand.cells)
-        if db_max is not None and count_diffusion_breaks(cand, nl) > db_max:
-            continue
-        if dummy_max is not None and count_dummies(cand, nl) > dummy_max:
-            continue
-        out.append(cand)
+        if cand.cells not in seen:
+            seen.add(cand.cells)
+            out.append(cand)
     return out

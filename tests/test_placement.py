@@ -13,11 +13,14 @@ from ccplace import (
     Placement,
     PlacementError,
     break_positions,
+    cascode_diff_input_netlist,
     check_cc,
     count_diffusion_breaks,
     count_dummies,
+    current_mirror_netlist,
     dummy_positions,
     enumerate_perturbations,
+    initial_placement,
     swap_mirrored,
     transform_xx180,
     transform_xy180,
@@ -94,6 +97,43 @@ def test_breaks_only_horizontal():
         DeviceSpec("B", 1, "GB", "n3", "n4"),
     ))
     assert count_diffusion_breaks(make_grid(["A", "B"]), nl) == 0
+
+
+def _naive_break_positions(p, nl):
+    """Every pair of horizontally adjacent units whose devices share no
+    diffusion net, read from each ``DeviceSpec``."""
+    specs = {d.name: d for d in nl.devices}
+    for c in p.cells:
+        if c is not None and c not in specs:
+            raise PlacementError(f"device {c!r} is not in the netlist")
+    out = set()
+    for y in range(1, p.dims.rows + 1):
+        for x in range(1, p.dims.cols):
+            left, right = p.at(x, y), p.at(x + 1, y)
+            if (left is not None and right is not None
+                    and not specs[left].diffusion_nets & specs[right].diffusion_nets):
+                out.add((x, y))
+    return out
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 6), st.integers(1, 4), st.booleans())
+@settings(deadline=None, max_examples=300)
+def test_break_positions_matches_naive_reference(data, rows, cols, k, unknown):
+    nets = st.sampled_from(["n1", "n2", "n3", "n4"])
+    nl = Netlist(tuple(DeviceSpec(name, 1, "G", data.draw(nets), data.draw(nets)) for name in "ABCD"[:k]))
+    labels = st.sampled_from(list("ABCD"[:k]) + [None])
+    cells = [data.draw(labels) for _ in range(rows * cols)]
+    if unknown:
+        cells[data.draw(st.integers(0, rows * cols - 1))] = "Z"
+    p = Placement(GridDims(rows, cols), tuple(cells))
+    try:
+        want = _naive_break_positions(p, nl)
+    except PlacementError as exc:
+        with pytest.raises(PlacementError) as err:
+            break_positions(p, nl)
+        assert str(err.value) == str(exc)
+    else:
+        assert break_positions(p, nl) == want
 
 
 # -- dummies ----------------------------------------------------------------
@@ -383,6 +423,53 @@ def test_enumerate_matches_naive_reference(data, k, cc, seed, db_max, dummy_max)
     got = enumerate_perturbations(p, nl, np.random.default_rng(seed), db_max, dummy_max)
     want = _naive_perturbations(p, nl, np.random.default_rng(seed), db_max, dummy_max)
     assert got == want
+
+
+# The small_exact benchmark instances, and two odd grids with a centre device.
+_WALK_INSTANCES = [
+    (current_mirror_netlist([4, 4, 4]), GridDims(2, 6)),
+    (current_mirror_netlist([4, 4, 4]), GridDims(4, 3)),
+    (current_mirror_netlist([2, 2, 2, 6]), GridDims(3, 4)),
+    (current_mirror_netlist([2, 4, 6]), GridDims(2, 6)),
+    (current_mirror_netlist([2, 2, 4]), GridDims(2, 4)),
+    (cascode_diff_input_netlist([4, 4, 2, 2]), GridDims(2, 6)),
+    _DIFF_INSTANCES[4],
+    _DIFF_INSTANCES[5],
+]
+
+
+@given(st.integers(0, len(_WALK_INSTANCES) - 1), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_enumerate_cache_matches_uncached_walk(k, seed):
+    # A random walk that revisits placements, so that swaps recur; one
+    # cache serves every call, whatever its bounds
+    nl, dims = _WALK_INSTANCES[k]
+    walk = np.random.default_rng(seed)
+    rng_cached, rng_plain = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    cache: dict = {}
+    p = initial_placement(nl, dims).placement
+    for calls in range(1, 151):
+        db_max, dummy_max = (None, 0, 2)[walk.integers(3)], (None, 0, 2)[walk.integers(3)]
+        got = enumerate_perturbations(p, nl, rng_cached, db_max, dummy_max, cache=cache)
+        want = enumerate_perturbations(p, nl, rng_plain, db_max, dummy_max)
+        assert got == want
+        assert rng_cached.bit_generator.state == rng_plain.bit_generator.state
+        assert len(cache) <= calls
+        if got:
+            p = got[walk.integers(len(got))]
+
+
+def test_enumerate_cache_keys_the_unordered_swap():
+    nl, dims = _WALK_INSTANCES[4]  # cm-2-2-4 on 2x4: four first-half units
+    p = initial_placement(nl, dims).placement
+    cache: dict = {}
+    # draws (0, 0) and (1, 0) pick spots 0 and 1 in either order
+    first = enumerate_perturbations(p, nl, FakeRng(integers=[0, 0]), cache=cache)
+    assert list(cache) == [(p.cells, 0, 1)]
+    first.clear()  # the caller owns the returned list, not the cache
+    again = enumerate_perturbations(p, nl, FakeRng(integers=[1, 0]), cache=cache)
+    assert again == enumerate_perturbations(p, nl, FakeRng(integers=[1, 0]))
+    assert len(cache) == 1
 
 
 def test_enumerate_drops_noop_same_device_swap(pair_netlist, topologies):
