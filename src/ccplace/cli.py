@@ -61,6 +61,13 @@ def _add_anneal_flags(sub):
                      help="iterations per temperature level")
 
 
+def _sa_config(args, **extra) -> SaConfig:
+    """The anneal's config from the flags ``_add_anneal_flags`` adds, plus
+    ``extra`` fields."""
+    return SaConfig(t_max=args.tmax, t_min=args.tmin, alpha=args.alpha,
+                    iters_per_temp=args.iters, seed=_resolve_seed(args.seed), **extra)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccplace",
@@ -109,15 +116,10 @@ def _cmd_place(args) -> int:
     else:
         file_grid = parse_grid(text)
         dims = GridDims(*file_grid) if file_grid else default_grid_dims(nl.total_units)
-    seed = _resolve_seed(args.seed)
-    cfg = SaConfig(
-        t_max=args.tmax,
-        t_min=args.tmin,
-        alpha=args.alpha,
-        iters_per_temp=args.iters,
+    cfg = _sa_config(
+        args,
         db_max=args.db_max,
         dummy_max=args.dummy_max,
-        seed=seed,
         selection_weights=tuple(args.weights) if args.weights else DEFAULT_SELECTION_WEIGHTS,
     )
     started = time.perf_counter()
@@ -128,16 +130,16 @@ def _cmd_place(args) -> int:
     solutions = list(archive)
     best = select_solution(archive, cfg.selection_weights)
     report = RunReport(
-        seed=seed,
+        seed=cfg.seed,
         config=dataclasses.asdict(cfg),
         dims=dims,
         netlist=netlist_to_dict(nl),
         archive=solutions,
         selected=solutions.index(best),
         ranges=annealer.ranges.bounds(),
-        wall_clock_s=elapsed,
+        wall_clock_s=elapsed if args.timing else None,
     )
-    payload = report_to_json(report, include_timing=args.timing)
+    payload = report_to_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -158,13 +160,7 @@ def _cmd_bench(args) -> int:
         cases = [(s, c) for s, c in cases if args.case in c.name]
         if not cases:
             raise ValueError(f"no benchmark case matches {args.case!r}")
-    cfg = SaConfig(
-        t_max=args.tmax,
-        t_min=args.tmin,
-        alpha=args.alpha,
-        iters_per_temp=args.iters,
-        seed=_resolve_seed(args.seed),
-    )
+    cfg = _sa_config(args)
     started = time.perf_counter()
     rows = run_benchmarks(cases, cfg)
     sys.stdout.write(format_table(rows))

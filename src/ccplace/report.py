@@ -1,15 +1,11 @@
 """Grid rendering and JSON run reports.
 
 Reports round-trip losslessly: parsing an emitted report reproduces the
-archive exactly.  The canonical JSON bytes are deterministic for a fixed
-seed and config; wall-clock time is therefore excluded unless explicitly
-requested.
-
-A unit cell is written as ``[device, index, flip]``: the index counts the
-device's units in row-major order and flip is false, since placements carry
-device names only.  An empty cell is written as null.  Parsing checks the
-triple and keeps the device name, so reports that numbered units otherwise
-still read back.
+archive exactly.  The grid is written once, at the top level, and each
+archive member is ``{"cells": [...], "objectives": {...}}`` with one cell per
+grid position in row-major order: the device name, or null when empty.
+``wall_clock_s`` is written only when the report carries it, so a report
+without it is byte-stable for a fixed seed and config.
 """
 
 from __future__ import annotations
@@ -145,40 +141,18 @@ def _device_names(netlist: dict) -> frozenset[str]:
     return frozenset(names)
 
 
-def _cell_from_json(v, where: str, devices: frozenset[str]):
-    if v is None:
-        return None
-    if (isinstance(v, list) and len(v) == 3 and isinstance(v[0], str) and v[0]
-            and isinstance(v[1], int) and not isinstance(v[1], bool) and isinstance(v[2], bool)):
-        if v[0] not in devices:
-            raise ValueError(f"{where}: device {v[0]!r} is not in the report's netlist")
-        return v[0]
-    raise ValueError(f"{where}: must be null or [device, index, flip]")
-
-
-def _placement_to_json(p: Placement) -> dict:
-    cells = []
-    seen: dict[str, int] = {}
-    for c in p.cells:
-        if isinstance(c, str):
-            k = seen.get(c, 0)
-            seen[c] = k + 1
-            cells.append([c, k, False])
-        else:
-            cells.append(None)
-    return {"rows": p.dims.rows, "cols": p.dims.cols, "cells": cells}
-
-
 def _placement_from_json(doc: dict, where: str, grid: GridDims, devices: frozenset[str]) -> Placement:
-    dims = _dims_from_json(doc, where)
-    if dims != grid:
-        raise ValueError(f"{where}: {dims.rows}x{dims.cols} differs from the report's "
-                         f"{grid.rows}x{grid.cols} grid")
     cells = _list(doc, "cells", where)
-    if len(cells) != dims.cells:
-        raise ValueError(f"{where}.cells: expected {dims.cells} cells, got {len(cells)}")
-    return Placement(dims, tuple(_cell_from_json(c, f"{where}.cells[{i}]", devices)
-                                 for i, c in enumerate(cells)))
+    if len(cells) != grid.cells:
+        raise ValueError(f"{where}.cells: expected {grid.cells} cells, got {len(cells)}")
+    for i, c in enumerate(cells):
+        if c is None:
+            continue
+        if not isinstance(c, str):
+            raise ValueError(f"{where}.cells[{i}]: must be null or a device name")
+        if c not in devices:
+            raise ValueError(f"{where}.cells[{i}]: device {c!r} is not in the report's netlist")
+    return Placement(grid, tuple(cells))
 
 
 def _count(doc: dict, key: str, where: str) -> int:
@@ -198,26 +172,22 @@ def _objectives_from_json(doc: dict, where: str) -> ObjectiveVector:
     )
 
 
-def report_to_json(r: RunReport, include_timing: bool = False) -> str:
-    """Serialise a report; byte-stable for a fixed seed and config.
-
-    ``include_timing`` adds the wall-clock field and intentionally breaks
-    byte-for-byte comparability between runs.
-    """
+def report_to_json(r: RunReport) -> str:
+    """Serialise a report; byte-stable for a fixed seed and config unless
+    ``wall_clock_s`` is set, in which case it is written too."""
     doc = {
         "seed": r.seed,
         "config": r.config,
         "grid": {"rows": r.dims.rows, "cols": r.dims.cols},
         "netlist": r.netlist,
         "archive": [
-            {"placement": _placement_to_json(s.placement),
-             "objectives": s.objectives._asdict()}
+            {"cells": list(s.placement.cells), "objectives": s.objectives._asdict()}
             for s in r.archive
         ],
         "selected": r.selected,
         "objective_ranges": [[lo, hi] for lo, hi in r.ranges],
     }
-    if include_timing and r.wall_clock_s is not None:
+    if r.wall_clock_s is not None:
         doc["wall_clock_s"] = r.wall_clock_s
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -240,7 +210,7 @@ def report_from_json(text: str) -> RunReport:
         if not isinstance(entry, dict):
             raise ValueError(f"{where}: must be an object")
         archive.append(Solution(
-            _placement_from_json(_object(entry, "placement", where), f"{where}.placement", dims, devices),
+            _placement_from_json(entry, where, dims, devices),
             _objectives_from_json(_object(entry, "objectives", where), f"{where}.objectives"),
         ))
     ranges = []

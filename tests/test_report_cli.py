@@ -4,12 +4,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccplace import (
     Archive,
     DeviceSpec,
     GridDims,
     Netlist,
+    ObjectiveVector,
     Placement,
     RunReport,
     SaConfig,
@@ -69,7 +72,7 @@ def test_parse_rendered_rejects_garbage():
 # -- report round trip ----------------------------------------------------------
 
 
-def small_report(pair_netlist, pair_dims):
+def small_report(pair_netlist, pair_dims, wall_clock_s=None):
     cfg = SaConfig(seed=11, iters_per_temp=5, t_min=1.0)
     archive = run(pair_netlist, pair_dims, cfg)
     sols = list(archive)
@@ -81,7 +84,7 @@ def small_report(pair_netlist, pair_dims):
         archive=sols,
         selected=0,
         ranges=[(0.0, 1.0)] * 5,
-        wall_clock_s=1.23,
+        wall_clock_s=wall_clock_s,
     )
 
 
@@ -93,39 +96,59 @@ def test_report_round_trip(pair_netlist, pair_dims):
     assert back.seed == report.seed
     assert back.dims == report.dims
     assert back.ranges == report.ranges
-    assert back.wall_clock_s is None  # timing excluded from canonical form
+    assert back.wall_clock_s is None
+    assert "wall_clock_s" not in text  # timing is written only when set
     assert report_to_json(back) == text
 
 
 def test_report_timing_opt_in(pair_netlist, pair_dims):
-    report = small_report(pair_netlist, pair_dims)
-    doc = json.loads(report_to_json(report, include_timing=True))
+    report = small_report(pair_netlist, pair_dims, wall_clock_s=1.23)
+    doc = json.loads(report_to_json(report))
     assert doc["wall_clock_s"] == 1.23
 
 
-def test_report_from_json_ignores_unit_numbering(pair_netlist, pair_dims):
-    # Reports number each device's units row-major with flip false; parsing
-    # keeps only the device name, so any other numbering reads back the same.
-    report = small_report(pair_netlist, pair_dims)
-    text = report_to_json(report)
-    doc = json.loads(text)
-    for entry in doc["archive"]:
-        cells = entry["placement"]["cells"]
-        for i, cell in enumerate(cells):
-            if isinstance(cell, list):
-                cells[i] = [cell[0], len(cells) - i, True]
-    back = report_from_json(json.dumps(doc))
-    assert back.archive == report.archive
-    assert report_to_json(back) == text
-
-
-def test_report_numbers_units_row_major(pair_netlist):
-    p = make_grid(["ABBA", "BAAB"])
+def test_report_writes_cells_as_names(pair_netlist):
+    p = Placement(GridDims(2, 4), ("A", "B", None, "A", "B", "A", None, "B"))
     report = RunReport(seed=0, config={}, dims=p.dims, netlist={},
                        archive=[Solution(p, evaluate(p, pair_netlist))], selected=0, ranges=[])
-    cells = json.loads(report_to_json(report))["archive"][0]["placement"]["cells"]
-    assert cells == [["A", 0, False], ["B", 0, False], ["B", 1, False], ["A", 1, False],
-                     ["B", 2, False], ["A", 2, False], ["A", 3, False], ["B", 3, False]]
+    doc = json.loads(report_to_json(report))
+    assert doc["grid"] == {"rows": 2, "cols": 4}
+    assert doc["archive"][0].keys() == {"cells", "objectives"}
+    assert doc["archive"][0]["cells"] == ["A", "B", None, "A", "B", "A", None, "B"]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_reports(draw):
+    # 1..5 on each side, so odd x odd grids with a centre cell are common
+    dims = GridDims(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=5, unique=True))
+    cells = st.lists(st.none() | st.sampled_from(names), min_size=dims.cells, max_size=dims.cells)
+    vectors = st.builds(ObjectiveVector, _FINITE, _FINITE, *[st.integers(0, 10**6)] * 3)
+    archive = draw(st.lists(st.builds(Solution, cells.map(lambda c: Placement(dims, tuple(c))),
+                                      vectors), min_size=1, max_size=4))
+    return RunReport(
+        seed=draw(st.integers(0, 2**32)),
+        config={},
+        dims=dims,
+        netlist={"devices": [{"name": n} for n in names], "route_nets": []},
+        archive=archive,
+        selected=draw(st.integers(0, len(archive) - 1)),
+        ranges=[(0.0, 1.0)] * 5,
+        wall_clock_s=draw(st.none() | st.floats(0, 1e6)),
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(random_reports())
+def test_report_round_trip_random(report):
+    text = report_to_json(report)
+    back = report_from_json(text)
+    assert back.archive == report.archive
+    assert back.wall_clock_s == report.wall_clock_s
+    assert report_to_json(back) == text
 
 
 def test_netlist_dict_round_trip(pair_netlist):
@@ -251,9 +274,20 @@ def test_cli_render_report_without_archive(netlist_file, tmp_path, capsys):
 
 def test_cli_render_report_with_bad_cell(netlist_file, tmp_path, capsys):
     out, doc = _placed_report(netlist_file, tmp_path)
-    doc["archive"][0]["placement"]["cells"][2] = ["A", "one", False]
+    doc["archive"][0]["cells"][2] = ["A", 1, False]
     out.write_text(json.dumps(doc))
-    assert "archive[0].placement.cells[2]" in _render_error(out, capsys)
+    assert "archive[0].cells[2]" in _render_error(out, capsys)
+
+
+def test_cli_render_rejects_old_member_format(netlist_file, tmp_path, capsys):
+    # a member written as a placement object of [device, index, flip] cells
+    out, doc = _placed_report(netlist_file, tmp_path)
+    for entry in doc["archive"]:
+        cells = entry.pop("cells")
+        entry["placement"] = {"rows": 2, "cols": 4,
+                              "cells": [c and [c, 0, False] for c in cells]}
+    out.write_text(json.dumps(doc))
+    assert _render_error(out, capsys).startswith("error: archive[0].cells: missing field")
 
 
 _BAD_REPORTS = [
@@ -263,19 +297,16 @@ _BAD_REPORTS = [
     (lambda d: d["archive"][0].pop("objectives"), "archive[0].objectives"),
     (lambda d: d["archive"][0]["objectives"].update(routing_cost="7"),
      "archive[0].objectives.routing_cost"),
-    (lambda d: d["archive"][0]["placement"].update(cells=[]), "archive[0].placement.cells"),
+    (lambda d: d["archive"][0].update(cells=[]), "archive[0].cells"),
     (lambda d: d.update(objective_ranges=[[0, 1, 2]]), "objective_ranges[0]"),
-    (lambda d: d["archive"][0]["placement"]["cells"].__setitem__(0, "dummy"),
-     "archive[0].placement.cells[0]"),
+    (lambda d: d["archive"][0]["cells"].__setitem__(0, ["A", 0, False]), "archive[0].cells[0]"),
     (lambda d: d.update(selected=len(d["archive"])), "selected"),
-    (lambda d: d["archive"][0]["placement"].update(rows=1, cols=8), "archive[0].placement"),
     (lambda d: d["archive"][0]["objectives"].update(neg_dispersion=float("nan")),
      "archive[0].objectives.neg_dispersion"),
     (lambda d: d.update(objective_ranges=[[0, 1], [0, float("inf")]]), "objective_ranges[1]"),
     (lambda d: d.update(wall_clock_s=float("-inf")), "wall_clock_s"),
     (lambda d: d.update(objective_ranges=[[0, 1]]), "objective_ranges"),
-    (lambda d: d["archive"][0]["placement"]["cells"].__setitem__(0, ["Z", 0, False]),
-     "archive[0].placement.cells[0]: device 'Z'"),
+    (lambda d: d["archive"][0]["cells"].__setitem__(0, "Z"), "archive[0].cells[0]: device 'Z'"),
     (lambda d: d["archive"][0]["objectives"].update(diffusion_breaks=-1),
      "archive[0].objectives.diffusion_breaks"),
     (lambda d: d["netlist"].pop("devices"), "netlist.devices"),
