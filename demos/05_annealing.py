@@ -8,6 +8,7 @@ without ever re-running the search.
 import time
 
 from ccplace import (
+    DEFAULT_SELECTION_WEIGHTS,
     DeviceSpec,
     GridDims,
     Netlist,
@@ -36,7 +37,8 @@ print()
 
 # Default weights favour breaks/dummies, then routing and layout effects;
 # flipping all the weight onto dispersion picks the interleaved layout.
-for label, weights in [("default weights", None), ("dispersion only", (1, 0, 0, 0, 0))]:
+for label, weights in [("default weights", DEFAULT_SELECTION_WEIGHTS),
+                       ("dispersion only", (1, 0, 0, 0, 0))]:
     best = select_solution(archive, weights)
     print(f"selected with {label}:")
     print(render_placement(best.placement))

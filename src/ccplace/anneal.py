@@ -197,23 +197,25 @@ def _choose_next(cur, new_pts, archive, ranges, temp, rng):
 
 
 class CcAnnealer:
-    """Binds a netlist and grid to the annealing loop, caching evaluations
-    and moves.
+    """Binds a netlist and grid to the annealing loop, caching evaluations,
+    routes and moves.
 
     Objective evaluation is pure, so candidates are evaluated in their
     deterministic enumeration order (and could run in parallel) before any
-    RNG draw happens; seed reproducibility is unaffected.  The move cache
-    holds the CC candidates of each (placement, swap) pair that
-    ``enumerate_perturbations`` has built, for any bounds.  Like the
-    evaluation cache, it lives as long as the annealer and is never pruned:
-    it grows by at most one entry per step, the evaluation cache by at most
-    one per candidate.
+    RNG draw happens; seed reproducibility is unaffected.  Three caches live
+    as long as the annealer and are never pruned.  The evaluation cache maps
+    cells to their vector and grows by at most one entry per candidate.  The
+    route cache maps a canonical pin set to its Steiner cost and grows by at
+    most one entry per route net of each placement the evaluation cache
+    misses.  The move cache holds the CC candidates of each (placement,
+    swap) pair that ``enumerate_perturbations`` has built, for any bounds,
+    and grows by at most one entry per step.
     """
 
-    def __init__(self, nl: Netlist, dims: GridDims, cfg: SaConfig | None = None):
+    def __init__(self, nl: Netlist, dims: GridDims, cfg: SaConfig = SaConfig()):
         self.netlist = nl
         self.dims = dims
-        self.cfg = cfg if cfg is not None else SaConfig()
+        self.cfg = cfg
         self.ranges = ObjectiveRanges()
         self._route_cache: dict = {}
         self._eval_cache: dict = {}
@@ -353,13 +355,13 @@ def _greedy_chain(devices):
     return tuple(order)
 
 
-def run(nl: Netlist, dims: GridDims, cfg: SaConfig | None = None, *,
+def run(nl: Netlist, dims: GridDims, cfg: SaConfig = SaConfig(), *,
         on_iteration=None) -> Archive:
     """Anneal a netlist on the given grid; deterministic for a fixed config."""
     return CcAnnealer(nl, dims, cfg).run(on_iteration=on_iteration)
 
 
-def select_solution(archive, weights=None) -> Solution:
+def select_solution(archive, weights=DEFAULT_SELECTION_WEIGHTS) -> Solution:
     """Pick the archive member minimising the weighted sum of min-max
     normalised objectives; ties fall back to lexicographic objective order.
 
@@ -369,7 +371,7 @@ def select_solution(archive, weights=None) -> Solution:
     sols = list(archive)
     if not sols:
         raise ValueError("archive is empty")
-    w = tuple(weights) if weights is not None else DEFAULT_SELECTION_WEIGHTS
+    w = tuple(weights)
     if len(w) != 5:
         raise ValueError(f"expected five weights, got {len(w)}")
     columns = list(zip(*(s.objectives for s in sols)))

@@ -150,11 +150,10 @@ def find_case(suite: str, name: str) -> BenchmarkCase:
     raise ValueError(f"no case named {name!r} in suite {suite!r}")
 
 
-def run_benchmarks(cases, cfg: SaConfig | None = None) -> list[dict]:
+def run_benchmarks(cases, cfg: SaConfig = SaConfig()) -> list[dict]:
     """Anneal each case and summarise its selected solution next to the
     published row.  ``cases`` holds (suite, BenchmarkCase) pairs or bare
     cases."""
-    cfg = cfg if cfg is not None else SaConfig()
     rows = []
     for entry in cases:
         suite, case = entry if isinstance(entry, tuple) else ("-", entry)

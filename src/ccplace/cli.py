@@ -84,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     place.add_argument("--db-max", type=int, default=None, help="diffusion break upper bound")
     place.add_argument("--dummy-max", type=int, default=None, help="dummy count upper bound")
     place.add_argument("--weights", type=float, nargs=5, metavar=("W1", "W2", "W3", "W4", "W5"),
-                       default=None, help="selection weights: dispersion lde routing breaks dummies")
+                       default=DEFAULT_SELECTION_WEIGHTS,
+                       help="selection weights: dispersion lde routing breaks dummies")
     place.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     place.add_argument("--timing", action="store_true",
                        help="include wall-clock time in the report (breaks byte-stability)")
@@ -120,7 +121,7 @@ def _cmd_place(args) -> int:
         args,
         db_max=args.db_max,
         dummy_max=args.dummy_max,
-        selection_weights=tuple(args.weights) if args.weights else DEFAULT_SELECTION_WEIGHTS,
+        selection_weights=tuple(args.weights),
     )
     started = time.perf_counter()
     annealer = CcAnnealer(nl, dims, cfg)

@@ -159,6 +159,8 @@ def _load_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetlistError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise NetlistError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise NetlistError("top level must be an object")
     return doc

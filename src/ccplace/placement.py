@@ -100,18 +100,29 @@ class CentroidReport:
     is_cc: bool
 
 
-def _centroid_sums(p: Placement) -> tuple[dict[str, list[int]], bool]:
-    """The common-centroid rule, in integers.
+def check_cc(p: Placement) -> CentroidReport:
+    """Compute each device's (mean column, mean row) in exact rationals."""
+    first, second = _half_sums(p)
+    sums = {d: (first.get(d, _ZERO), second.get(d, _ZERO)) for d in first | second}
+    centroids = {d: (Fraction(a[0] + b[0], a[2] + b[2]), Fraction(a[1] + b[1], a[2] + b[2]))
+                 for d, (a, b) in sums.items()}
+    center = (Fraction(p.dims.cols + 1, 2), Fraction(p.dims.rows + 1, 2))
+    return CentroidReport(centroids, center, all(_centred(a, b, p.dims) for a, b in sums.values()))
 
-    Returns per device [sum of x, sum of y, unit count] and whether every
-    device's centroid sits at the array centre, i.e. 2*sum == n*(size+1) on
-    both axes.  ``check_cc`` turns the sums into exact centroids.
-    """
+
+def _half_sums(p: Placement) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """Per device [sum of x, sum of y, unit count] over the first half of the
+    grid and over the second half, each in row-major order of first
+    appearance.  The first half ends before row-major index
+    (cells + 1) // 2, so it holds the centre cell of an odd grid, which
+    ``transform_xy180`` never moves."""
     cols = p.dims.cols
-    sums: dict[str, list[int]] = {}
+    start = (p.dims.cells + 1) // 2
+    halves: tuple[dict[str, list[int]], dict[str, list[int]]] = ({}, {})
     for i, c in enumerate(p.cells):
-        if isinstance(c, str):
+        if c is not None:
             y, x = divmod(i, cols)
+            sums = halves[i >= start]
             acc = sums.get(c)
             if acc is None:
                 sums[c] = [x + 1, y + 1, 1]
@@ -119,16 +130,18 @@ def _centroid_sums(p: Placement) -> tuple[dict[str, list[int]], bool]:
                 acc[0] += x + 1
                 acc[1] += y + 1
                 acc[2] += 1
-    cols1, rows1 = cols + 1, p.dims.rows + 1
-    return sums, all(2 * sx == n * cols1 and 2 * sy == n * rows1 for sx, sy, n in sums.values())
+    return halves
 
 
-def check_cc(p: Placement) -> CentroidReport:
-    """Compute each device's (mean column, mean row) in exact rationals."""
-    sums, is_cc = _centroid_sums(p)
-    center = (Fraction(p.dims.cols + 1, 2), Fraction(p.dims.rows + 1, 2))
-    centroids = {d: (Fraction(sx, n), Fraction(sy, n)) for d, (sx, sy, n) in sums.items()}
-    return CentroidReport(centroids, center, is_cc)
+_ZERO = (0, 0, 0)
+
+
+def _centred(a, b, dims: GridDims) -> bool:
+    """The common-centroid rule: a device whose units have the half sums
+    ``a`` plus ``b`` (see ``_half_sums``) sits at the array centre iff
+    2*sum == n*(size+1) on both axes."""
+    n = a[2] + b[2]
+    return 2 * (a[0] + b[0]) == n * (dims.cols + 1) and 2 * (a[1] + b[1]) == n * (dims.rows + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +267,6 @@ def transform_xy180(p: Placement, x_name: str, y_name: str) -> Placement:
     return Placement(p.dims, p.cells[:start] + second)
 
 
-def _half_sums(p: Placement) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-    """Per device [sum of x, sum of y, unit count] over the first half of the
-    grid and over the second half.  The first half ends before row-major
-    index (cells + 1) // 2, so it holds the centre cell of an odd grid, which
-    ``transform_xy180`` never moves."""
-    cols = p.dims.cols
-    start = (p.dims.cells + 1) // 2
-    halves: tuple[dict[str, list[int]], dict[str, list[int]]] = ({}, {})
-    for i, c in enumerate(p.cells):
-        if c is not None:
-            y, x = divmod(i, cols)
-            sums = halves[i >= start]
-            acc = sums.get(c)
-            if acc is None:
-                sums[c] = [x + 1, y + 1, 1]
-            else:
-                acc[0] += x + 1
-                acc[1] += y + 1
-                acc[2] += 1
-    return halves
-
-
 def enumerate_perturbations(
     p: Placement,
     nl: Netlist,
@@ -294,16 +285,16 @@ def enumerate_perturbations(
     retries with a fresh draw on the next iteration.
 
     CC is decided before a label exchange is built, from half sums of the
-    swapped placement ``base`` (see ``_half_sums``).  A device with sums
-    (sx, sy, n) is centred iff 2*sx == n*(cols+1) and 2*sy == n*(rows+1).
-    ``base`` is CC iff every device is centred.  Exchanging X and Y in the
-    second half moves no other unit, so that exchange is CC iff every other
-    device is centred, X's first half plus Y's second half is centred, and
-    so is Y's first half plus X's second half.  Only the passing exchanges
-    are built; then come the dedup against ``p`` and earlier candidates and
-    the bound checks, in that order.  Dropping a non-CC candidate before the
-    dedup rather than after it cannot change the output: identical cells
-    get identical CC verdicts, so a cell tuple that only a non-CC candidate
+    swapped placement ``base`` (see ``_half_sums``) and the one CC rule,
+    ``_centred``, which ``check_cc`` applies too.  ``base`` is CC iff every
+    device's two halves are centred.  Exchanging X and Y in the second half
+    moves no other unit, so that exchange is CC iff every other device is
+    centred, X's first half plus Y's second half is centred, and so is Y's
+    first half plus X's second half.  Only the passing exchanges are built;
+    then come the dedup against ``p`` and earlier candidates and the bound
+    checks, in that order.  Dropping a non-CC candidate before the dedup
+    rather than after it cannot change the output: identical cells get
+    identical CC verdicts, so a cell tuple that only a non-CC candidate
     added to the dedup set can never match a CC candidate.
 
     ``cache`` memoises the CC candidates of a swap.  Its key is
@@ -345,25 +336,18 @@ def _cc_candidates(p: Placement, nl: Netlist, ia: int, ib: int) -> list[Placemen
     """The CC candidates of swapping first-half cells ``ia`` and ``ib`` of
     ``p``, deduplicated against ``p`` and each other, before any bound."""
     base = swap_mirrored(p, p.coord(ia), p.coord(ib))
-
-    cols1, rows1 = p.dims.cols + 1, p.dims.rows + 1
+    dims = p.dims
     first, second = _half_sums(base)
-    zero = (0, 0, 0)
-
-    def centred(a, b):
-        n = a[2] + b[2]
-        return 2 * (a[0] + b[0]) == n * cols1 and 2 * (a[1] + b[1]) == n * rows1
-
     off = {d for d in first.keys() | second.keys()
-           if not centred(first.get(d, zero), second.get(d, zero))}
+           if not _centred(first.get(d, _ZERO), second.get(d, _ZERO), dims)}
     candidates = [] if off else [base]
     if len(off) <= 2:
         for ai in range(len(nl.devices)):
             for bi in range(ai + 1, len(nl.devices)):
                 x, y = nl.devices[ai].name, nl.devices[bi].name
                 if (nl.devices[ai].unit_count == nl.devices[bi].unit_count and off <= {x, y}
-                        and centred(first.get(x, zero), second.get(y, zero))
-                        and centred(first.get(y, zero), second.get(x, zero))):
+                        and _centred(first.get(x, _ZERO), second.get(y, _ZERO), dims)
+                        and _centred(first.get(y, _ZERO), second.get(x, _ZERO), dims)):
                     candidates.append(transform_xy180(base, x, y))
 
     out = []

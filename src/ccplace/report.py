@@ -199,6 +199,8 @@ def report_from_json(text: str) -> RunReport:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("top level must be an object")
     dims = _dims_from_json(_object(doc, "grid"), "grid")

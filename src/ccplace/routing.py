@@ -289,6 +289,8 @@ def routing_cost(p: Placement, nl: Netlist, *, cache: dict | None = None) -> int
     canonical pin tuples to costs and may be shared across evaluations of
     the same netlist.
     """
+    if cache is None:
+        cache = {}
     pos = p.unit_positions()
     total = 0
     for _, members in nl.route_nets:
@@ -300,11 +302,8 @@ def routing_cost(p: Placement, nl: Netlist, *, cache: dict | None = None) -> int
         pins.sort()
         rotated = sorted((p.dims.cols + 1 - x, p.dims.rows + 1 - y) for x, y in pins)
         canon = tuple(min(pins, rotated))
-        if cache is not None and canon in cache:
-            total += cache[canon]
-            continue
-        cost = net_cost(canon)
-        if cache is not None:
-            cache[canon] = cost
+        cost = cache.get(canon)
+        if cost is None:
+            cost = cache[canon] = net_cost(canon)
         total += cost
     return total

@@ -55,6 +55,40 @@ def test_check_cc_mirrored_row():
     assert rep.is_cc
 
 
+def _naive_cc(p):
+    """(centroids, center, is_cc) from each device's Fraction mean position,
+    with devices in row-major order of first appearance."""
+    positions = {}
+    for y in range(1, p.dims.rows + 1):
+        for x in range(1, p.dims.cols + 1):
+            if p.at(x, y) is not None:
+                positions.setdefault(p.at(x, y), []).append((x, y))
+    centroids = {d: (Fraction(sum(x for x, _ in pts), len(pts)), Fraction(sum(y for _, y in pts), len(pts)))
+                 for d, pts in positions.items()}
+    center = (Fraction(p.dims.cols + 1, 2), Fraction(p.dims.rows + 1, 2))
+    return centroids, center, all(c == center for c in centroids.values())
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 5), st.integers(1, 4), st.booleans(), st.booleans())
+@settings(deadline=None, max_examples=400)
+def test_check_cc_matches_naive_centroids(data, rows, cols, k, mirrored, fill_centre):
+    # mirrored arrangements (each cell equal to its 180-degree image) are CC,
+    # so both verdicts come up; an odd x odd grid may get its centre filled
+    labels = st.sampled_from(list("ABCD"[:k]) + [None])
+    n = rows * cols
+    cells = [data.draw(labels) for _ in range(n)]
+    if mirrored:
+        cells[n - n // 2:] = cells[:n // 2][::-1]
+    if fill_centre and n % 2:
+        cells[n // 2] = data.draw(st.sampled_from("ABCD"[:k]))
+    p = Placement(GridDims(rows, cols), tuple(cells))
+    rep = check_cc(p)
+    centroids, center, is_cc = _naive_cc(p)
+    assert list(rep.centroids.items()) == list(centroids.items())
+    assert rep.center == center
+    assert rep.is_cc == is_cc
+
+
 # -- diffusion breaks -------------------------------------------------------
 
 
@@ -357,7 +391,8 @@ def test_enumerate_off_centre_bystander_vetoes_every_exchange():
 
 
 # Instances for the differential test: shared and disjoint diffusion nets
-# (so the bounds bite), empty cells, and an odd grid with a centre device.
+# (so the bounds bite), empty cells, and odd grids with a centre device,
+# which in the last one can take part in a label exchange.
 _DIFF_INSTANCES = [
     (_netlist(("A", 4, "S", "D"), ("B", 4, "S", "D")), GridDims(2, 4)),
     (_netlist(("A", 2, "n1", "n2"), ("B", 2, "n1", "n3"), ("C", 2, "n4", "n5"), ("D", 2, "n4", "n6")),
@@ -367,6 +402,7 @@ _DIFF_INSTANCES = [
     (_netlist(("A", 3, "n1", "n2"), ("B", 2, "n1", "n3"), ("C", 2, "n4", "n5"), ("D", 2, "n2", "n4")),
      GridDims(3, 3)),
     (_netlist(("A", 1, "n1", "n2"), ("B", 4, "n1", "n3"), ("C", 4, "n4", "n5")), GridDims(3, 3)),
+    (_netlist(("A", 3, "n1", "n2"), ("B", 3, "n1", "n3"), ("C", 3, "n4", "n5")), GridDims(3, 3)),
 ]
 
 
@@ -376,7 +412,7 @@ def _cc_placements(k):
 
 
 def _naive_perturbations(p, nl, rng, db_max, dummy_max):
-    """Build every candidate, dedup, then the CC check, then the bounds."""
+    """Build every candidate, dedup, then the naive CC test, then the bounds."""
     half = p.dims.cells // 2
     spots = [i for i in range(half) if isinstance(p.cells[i], str)]
     if len(spots) < 2:
@@ -397,7 +433,7 @@ def _naive_perturbations(p, nl, rng, db_max, dummy_max):
         if cand.cells in seen:
             continue
         seen.add(cand.cells)
-        if not check_cc(cand).is_cc:
+        if not _naive_cc(cand)[2]:
             continue
         if db_max is not None and count_diffusion_breaks(cand, nl) > db_max:
             continue

@@ -290,6 +290,18 @@ def test_cli_render_rejects_old_member_format(netlist_file, tmp_path, capsys):
     assert _render_error(out, capsys).startswith("error: archive[0].cells: missing field")
 
 
+@pytest.mark.parametrize("command, field", [("place", "devices"), ("render", "archive")])
+def test_cli_deeply_nested_json_is_one_error_line(command, field, tmp_path, capsys):
+    # the decoder gives up with a RecursionError, not a JSONDecodeError
+    depth = 200_000
+    path = tmp_path / "deep.json"
+    path.write_text(f'{{"{field}": ' + "[" * depth + "]" * depth + "}")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: invalid JSON: nested too deeply"]
+
+
 _BAD_REPORTS = [
     (lambda d: d.pop("seed"), "seed"),
     (lambda d: d.update(grid={"rows": 0, "cols": 4}), "grid"),
