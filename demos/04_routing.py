@@ -6,7 +6,7 @@ loop repeatedly hooks a node onto the rectangle of a tree edge and drops
 the heaviest edge of the cycle that creates.
 """
 
-from ccplace import net_cost, rmst, steiner_improve, steiner_oracle, trial_add_steiner
+from ccplace import net_cost, rmst, steiner_improve, steiner_oracle
 
 # Three pins in a T: the apex is 4 away from both base corners.
 pins = [(1, 1), (5, 1), (3, 3)]
@@ -14,17 +14,14 @@ tree = rmst(pins)
 print(f"pins: {pins}")
 print(f"spanning tree weight: {tree.total_weight()}, edges: {tree.edges}")
 
-# Hook the apex (node 2) onto the base edge (nodes 0-1): the projection
-# lands at (3, 1), two away, and the cycle's heaviest edge weighs four.
-gain, improved = trial_add_steiner(tree, 2, (0, 1))
-print(f"single reconnection gain: {gain} (= 4 - 2)")
-print(f"improved weight: {improved.total_weight()}, "
-      f"steiner points: {improved.nodes[improved.n_pins:]}")
-
-# The full loop keeps applying the best positive gain until none remains,
-# and the exhaustive oracle confirms the result is optimal here.
+# The loop hooks the apex (node 2) onto the base edge (nodes 0-1): the
+# apex's projection onto the edge's rectangle lands at (3, 1), two away, and
+# the heaviest edge of the cycle that closes weighs four, so the gain is
+# 4 - 2 = 2.  No further reconnection gains, so the loop stops there, and
+# the exhaustive oracle confirms the result is optimal.
 final = steiner_improve(tree)
-print(f"loop result: {final.total_weight()}, exact optimum: {steiner_oracle(pins)}")
+print(f"loop result: {final.total_weight()}, edges: {final.edges}")
+print(f"steiner points: {final.nodes[final.n_pins:]}, exact optimum: {steiner_oracle(pins)}")
 print()
 
 # On random nets the heuristic always lands between the exact optimum and

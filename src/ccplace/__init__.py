@@ -77,6 +77,6 @@ from .report import (
     report_from_json,
     report_to_json,
 )
-from .routing import RoutingGraph, manhattan, net_cost, rmst, routing_cost, steiner_improve, trial_add_steiner
+from .routing import RoutingGraph, manhattan, net_cost, rmst, routing_cost, steiner_improve
 
 __version__ = "0.1.0"

@@ -29,13 +29,17 @@ from .placement import (
 
 DEFAULT_SELECTION_WEIGHTS = (1.0, 3.0, 3.0, 5.0, 5.0)
 
+# Longest schedule a config may ask for: 476 times the default 2,100 steps.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SaConfig:
     """Annealing schedule, admissibility bounds, and selection weights.
 
     ``db_max`` / ``dummy_max`` of None bound candidates at the initial
-    placement's own counts; a given bound must be non-negative.
+    placement's own counts; a given bound must be non-negative.  A schedule
+    of more than ``MAX_STEPS`` steps (levels x ``iters_per_temp``) is refused.
     """
 
     t_max: float = 100.0
@@ -54,6 +58,12 @@ class SaConfig:
             raise ValueError(f"cooling rate must be in (0, 1), got {self.alpha}")
         if self.iters_per_temp < 1:
             raise ValueError(f"iters_per_temp must be positive, got {self.iters_per_temp}")
+        # levels counts the k >= 0 with t_max * alpha**k > t_min; a log
+        # difference, since t_min / t_max underflows for a subnormal t_min
+        levels = math.ceil((math.log(self.t_min) - math.log(self.t_max)) / math.log(self.alpha))
+        if levels * self.iters_per_temp > MAX_STEPS:
+            raise ValueError(f"schedule of {levels * self.iters_per_temp:,} steps ({levels:,} levels x "
+                             f"{self.iters_per_temp:,} iterations) exceeds the cap of {MAX_STEPS:,}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("db_max", "dummy_max"):

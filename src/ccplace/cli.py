@@ -187,6 +187,9 @@ def main(argv=None) -> int:
     except (NetlistError, PlacementError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; the grid or the netlist is too large", file=sys.stderr)
+        return 1
 
 
 def run_main() -> None:

@@ -2,10 +2,18 @@
 edge-based rectilinear Steiner improvement loop (Borah, Owens and Irwin,
 IEEE TCAD 1994).
 
-Each round of the loop scores every (tree edge, node) reconnection at once
-and applies the best.  Ties keep the scan-order rule: the first
+A trial hooks node n onto tree edge (u, v).  Its Steiner point p is n
+clipped into the edge's bounding rectangle.  The trial splits the edge at a
+new node q on p and adds the hook (n, q), which closes a cycle: the new edge
+(q, s) to the edge's endpoint s on n's side of the cut, then the tree path
+s..n.  The heaviest edge of that cycle is dropped, so the gain is its weight
+minus the hook's length, floored at 0; a trial whose p is n gains 0.
+
+Each round roots the tree once, scores every (edge, node) trial from that
+rooting and applies the best.  Ties keep the scan-order rules: the first
 strictly-best positive gain in (edge, node) order wins, edges in tree-list
-order and nodes by index.  Seeded archives depend on that rule.
+order and nodes by index, and the dropped edge is the first strictly
+heaviest on the cycle counted from q.  Seeded archives depend on both.
 """
 
 from __future__ import annotations
@@ -31,9 +39,6 @@ class RoutingGraph:
     nodes: list[Point]
     edges: list[tuple[int, int, int]]  # (u, v, weight) over node indices
     n_pins: int
-
-    def is_pin(self, i: int) -> bool:
-        return i < self.n_pins
 
     def total_weight(self) -> int:
         return sum(w for _, _, w in self.edges)
@@ -131,33 +136,21 @@ def _rooted(n_nodes, edges):
     return parent, tin, tout
 
 
-def _steiner_candidate(nodes, u, v, n) -> Point:
-    """Closest point to node n within the bounding rectangle of edge (u, v)."""
-    (ux, uy), (vx, vy) = nodes[u], nodes[v]
-    nx, ny = nodes[n]
-    px = min(max(nx, min(ux, vx)), max(ux, vx))
-    py = min(max(ny, min(uy, vy)), max(uy, vy))
-    return (px, py)
+def _trials(nodes, edges):
+    """Every (edge, node) trial of one round, from one rooting of the tree.
 
-
-def _trial_gains(nodes, edges) -> np.ndarray:
-    """Gain of hooking each node n onto each edge (u, v): an (edge, node) matrix.
-
-    The hook goes through p, the point of the edge's bounding rectangle
-    closest to n.  Replacing (u, v) by (p, u), (p, v), (n, p) closes a cycle
-    through n's side of the split tree; the removable weight is the cycle's
-    largest edge, so the gain is that weight minus the new (n, p) connection.
-    Pairs where p coincides with n (which includes n in {u, v}) gain 0.
+    Returns ``(gain, p, s_end, rooting)``: the (edge, node) gain matrix, the
+    Steiner points ``p[e, n]``, the endpoint ``s_end[e, n]`` of edge e that
+    stays on node n's side once e is cut, and the ``_rooted`` arrays that
+    the applied trial walks.
     """
     n_nodes = len(nodes)
     xy = np.array(nodes, dtype=np.int64)
     u, v, _ = np.array(edges, dtype=np.int64).T
-    parent, tin, tout = np.array(_rooted(n_nodes, edges))
+    parent, tin, tout = rooting = np.array(_rooted(n_nodes, edges))
     xu, xv = xy[u][:, None, :], xy[v][:, None, :]
-    # p[e, n]: node n clipped into edge e's bounding rectangle
     p = np.minimum(np.maximum(xy, np.minimum(xu, xv)), np.maximum(xu, xv))
     d_np = np.abs(p - xy).sum(axis=2)
-    # s_end: the endpoint of (u, v) on n's side once the edge is cut.
     child = np.where(parent[v] == u, v, u)[:, None]
     other = (u + v)[:, None] - child
     inside = (tin[child] <= tin) & (tout <= tout[child])
@@ -166,104 +159,40 @@ def _trial_gains(nodes, edges) -> np.ndarray:
     pathmax = _path_max(n_nodes, edges)[np.arange(n_nodes), s_end]
     gain = np.maximum(np.maximum(d_ps, pathmax), d_np) - d_np
     gain[d_np == 0] = 0
-    return gain
-
-
-def _best_trial(nodes, edges):
-    """The (gain, edge_idx, node_idx) of the best positive-gain trial, or None.
-
-    ``np.argmax`` over the row-major matrix keeps the scan-order rule: the
-    first strictly-best gain in (edge, node) order wins.
-    """
-    if len(edges) < 2:
-        return None
-    gain = _trial_gains(nodes, edges)
-    ei, n = divmod(int(np.argmax(gain)), len(nodes))
-    best = int(gain[ei, n])
-    return (best, ei, n) if best > 0 else None
-
-
-def _tree_path_edges(n_nodes, edges, skip_idx, src, dst):
-    """Edge indices along the path src..dst, ignoring edge ``skip_idx``."""
-    adj = [[] for _ in range(n_nodes)]
-    for ei, (u, v, _) in enumerate(edges):
-        if ei == skip_idx:
-            continue
-        adj[u].append((v, ei))
-        adj[v].append((u, ei))
-    via = {src: (None, None)}
-    stack = [src]
-    while stack:
-        v = stack.pop()
-        if v == dst:
-            break
-        for nbr, ei in adj[v]:
-            if nbr not in via:
-                via[nbr] = (v, ei)
-                stack.append(nbr)
-    path = []
-    v = dst
-    while via[v][0] is not None:
-        v, ei = via[v]
-        path.append(ei)
-    path.reverse()
-    return path
-
-
-def _apply_trial(nodes, edges, ei, n):
-    """Insert the Steiner point for (edge ei, node n) and drop the heaviest
-    cycle edge (ties resolve to the edge nearest the new point)."""
-    u, v, _ = edges[ei]
-    p = _steiner_candidate(nodes, u, v, n)
-    q = len(nodes)
-    new_nodes = nodes + [p]
-    new_edges = [e for k, e in enumerate(edges) if k != ei]
-    new_edges.append((q, u, manhattan(p, nodes[u])))
-    new_edges.append((q, v, manhattan(p, nodes[v])))
-    new_edges.append((n, q, manhattan(nodes[n], p)))
-    hook_idx = len(new_edges) - 1
-    path = _tree_path_edges(len(new_nodes), new_edges, hook_idx, q, n)
-    drop, drop_w = None, -1
-    for k in path:
-        w = new_edges[k][2]
-        if w > drop_w:
-            drop, drop_w = k, w
-    del new_edges[drop]
-    return new_nodes, new_edges
+    return gain, p, s_end, rooting
 
 
 def steiner_improve(g: RoutingGraph) -> RoutingGraph:
     """Apply the best positive-gain reconnection until none remains."""
     nodes, edges = list(g.nodes), list(g.edges)
-    while True:
-        found = _best_trial(nodes, edges)
-        if found is None:
+    while len(edges) >= 2:
+        gain, p, s_end, (parent, tin, tout) = _trials(nodes, edges)
+        ei, n = divmod(int(np.argmax(gain)), len(nodes))
+        if gain[ei, n] <= 0:
             break
-        _, ei, n = found
-        nodes, edges = _apply_trial(nodes, edges, ei, n)
+        u, v, _ = edges[ei]
+        s, q = int(s_end[ei, n]), len(nodes)
+        nodes.append((int(p[ei, n, 0]), int(p[ei, n, 1])))
+        # the cycle from q: (q, s), then s up to the common ancestor and
+        # down to n, through the edge from each node to its parent
+        up = {(a if parent[a] == b else b): k for k, (a, b, _) in enumerate(edges)}
+        top, rise = s, []
+        while not (tin[top] <= tin[n] and tout[n] <= tout[top]):
+            rise.append(up[top])
+            top = parent[top]
+        fall, b = [], n
+        while b != top:
+            fall.append(up[b])
+            b = parent[b]
+        drop, drop_w = None, manhattan(nodes[q], nodes[s])
+        for k in rise + fall[::-1]:
+            if edges[k][2] > drop_w:
+                drop, drop_w = k, edges[k][2]
+        edges = [e for k, e in enumerate(edges) if k != ei and k != drop]
+        edges += [(q, end, manhattan(nodes[q], nodes[end]))
+                  for end in (u, v) if end != s or drop is not None]
+        edges.append((n, q, manhattan(nodes[n], nodes[q])))
     return RoutingGraph(nodes, edges, g.n_pins)
-
-
-def trial_add_steiner(g: RoutingGraph, n: int, edge: tuple[int, int]):
-    """Probe a single reconnection of node ``n`` against tree edge ``edge``.
-
-    Returns (gain, graph): the reconnected graph when gain > 0, the input
-    graph unchanged otherwise (including the degenerate case where ``n``
-    already lies on the edge's rectangle).
-    """
-    u, v = edge
-    for ei, (a, b, _) in enumerate(g.edges):
-        if {a, b} == {u, v}:
-            break
-    else:
-        raise ValueError(f"edge {edge} is not in the graph")
-    if n == u or n == v:
-        raise ValueError("node must not be an endpoint of the edge")
-    gain = int(_trial_gains(g.nodes, g.edges)[ei, n])
-    if gain <= 0:
-        return gain, g
-    nodes, edges = _apply_trial(list(g.nodes), list(g.edges), ei, n)
-    return gain, RoutingGraph(nodes, edges, g.n_pins)
 
 
 # ---------------------------------------------------------------------------

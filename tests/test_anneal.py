@@ -448,6 +448,17 @@ def test_config_validation():
         SaConfig(dummy_max=-1)
     with pytest.raises(ValueError):
         SaConfig(selection_weights=(1, 2, 3))
+
+
+def test_config_refuses_schedule_over_step_cap():
+    # the default schedule has 21 levels: 47,619 iterations each stay within
+    # the cap, 47,620 do not
+    SaConfig(iters_per_temp=47_619)
+    with pytest.raises(ValueError, match=r"1,000,020 steps \(21 levels x 47,620 iterations\).*1,000,000"):
+        SaConfig(iters_per_temp=47_620)
+    with pytest.raises(ValueError, match="6,953,806,911,200 steps"):
+        SaConfig(alpha=0.99999999, t_min=1e-300)
+    SaConfig(alpha=0.5, t_min=5e-324)  # t_min / t_max would underflow to 0
     with pytest.raises(ValueError, match="t_max"):
         SaConfig(t_max=math.inf)
     for bad in (math.nan, math.inf):

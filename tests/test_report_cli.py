@@ -368,6 +368,21 @@ def test_cli_rejects_non_finite_flags(netlist_file, tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--rows", "2147483647", "--cols", "2147483647"], "error: out of memory"),
+    (["--alpha", "0.99999999", "--tmin", "1e-300"], "error: schedule of 6,953,806,911,200 steps"),
+], ids=["grid-too-large", "schedule-over-cap"])
+def test_cli_unrunnable_size_is_one_error_line(netlist_file, tmp_path, capsys, flags, message):
+    # the grid's cell tuple cannot even be sized, so nothing is allocated
+    out = tmp_path / "r.json"
+    assert main(["place", str(netlist_file), *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_place_unreachable_bound_exits_one(tmp_path, capsys):
     # two 2-unit devices with disjoint nets: no move from the 2-break start
     # reaches a break-free placement, so the archive under --db-max 0 is empty
