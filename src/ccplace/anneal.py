@@ -8,7 +8,6 @@ case analysis; every surviving candidate then challenges the archive.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ from .placement import (
     GridDims,
     Placement,
     PlacementError,
-    count_diffusion_breaks,
     enumerate_perturbations,
     transform_xx180,
 )
@@ -215,11 +213,11 @@ class CcAnnealer:
     RNG draw happens; seed reproducibility is unaffected.  Three caches live
     as long as the annealer and are never pruned.  The evaluation cache maps
     cells to their vector and grows by at most one entry per candidate.  The
-    route cache maps a canonical pin set to its Steiner cost and grows by at
-    most one entry per route net of each placement the evaluation cache
-    misses.  The move cache holds the CC candidates of each (placement,
-    swap) pair that ``enumerate_perturbations`` has built, for any bounds,
-    and grows by at most one entry per step.
+    route cache maps a net's cell-index key (see ``routing``) to its Steiner
+    cost and grows by at most one entry per route net of each placement the
+    evaluation cache misses.  The move cache holds the CC candidates of each
+    (placement, swap) pair that ``enumerate_perturbations`` has built, for
+    any bounds, and grows by at most one entry per step.
     """
 
     def __init__(self, nl: Netlist, dims: GridDims, cfg: SaConfig = SaConfig()):
@@ -297,12 +295,11 @@ class CcAnnealer:
 def initial_placement(nl: Netlist, dims: GridDims, evaluate_fn=None) -> Solution:
     """Mirrored sequential construction minimising diffusion breaks.
 
-    Units of each device are grouped; the device order is the first one
-    with the fewest breaks over every permutation (up to 8 devices; the scan
-    stops at the first order without breaks, which no later order can beat)
-    or a greedy shared-terminal chain beyond that.  Half the units fill the
-    grid sequentially, the other half is their 180-degree rotation, so the
-    result is always common-centroid.
+    Units of each device are grouped; the device order is the first one in
+    permutation order with the fewest breaks (up to 8 devices, see
+    ``_fewest_breaks_order``) or a greedy shared-terminal chain beyond that.
+    Half the units fill the grid sequentially, the other half is their
+    180-degree rotation, so the result is always common-centroid.
 
     A device with an odd unit count needs a grid with a true centre cell
     (odd rows and odd columns) to host its middle unit, and only one such
@@ -311,29 +308,55 @@ def initial_placement(nl: Netlist, dims: GridDims, evaluate_fn=None) -> Solution
     total = nl.total_units
     if total > dims.cells:
         raise PlacementError(f"{total} units do not fit a {dims.rows}x{dims.cols} grid")
-    odd = [d for d in nl.devices if d.unit_count % 2]
-    if odd:
-        if len(odd) > 1 or dims.rows % 2 == 0 or dims.cols % 2 == 0:
-            names = [d.name for d in odd]
-            raise PlacementError(
-                f"odd unit counts ({names}) need an odd-rows x odd-cols grid with a "
-                f"single such device; got {dims.rows}x{dims.cols}"
-            )
-    if len(nl.devices) <= 8:
-        orders = itertools.permutations(nl.devices)
-    else:
-        orders = [_greedy_chain(nl.devices)]
-    best = None
-    for order in orders:
-        p = _mirrored_fill(order, dims)
-        breaks = count_diffusion_breaks(p, nl)
-        if best is None or breaks < best[0]:
-            best = (breaks, p)
-            if breaks == 0:
-                break
-    placement = best[1]
+    odd = [d.name for d in nl.devices if d.unit_count % 2]
+    if odd and (len(odd) > 1 or dims.cells % 2 == 0):
+        raise PlacementError(
+            f"odd unit counts ({odd}) need an odd-rows x odd-cols grid with a "
+            f"single such device; got {dims.rows}x{dims.cols}"
+        )
+    order = _fewest_breaks_order(nl, dims) if len(nl.devices) <= 8 else _greedy_chain(nl.devices)
+    placement = _mirrored_fill(order, dims)
     vec = evaluate_fn(placement) if evaluate_fn is not None else evaluate(placement, nl)
     return Solution(placement, vec)
+
+
+def _fewest_breaks_order(nl: Netlist, dims: GridDims) -> tuple:
+    """The first order of ``itertools.permutations(nl.devices)`` whose
+    ``_mirrored_fill`` has the fewest breaks, grown device by device in that
+    order.  A prefix is dropped when it has as many breaks as the best order
+    so far, or as an earlier prefix of the same devices ending on the same
+    device with units, whose completions match its own and come first."""
+    devices = nl.devices
+    centre = [d.name for d in devices if d.unit_count % 2]
+    best, seen = [math.inf, ()], {}
+
+    def walk(order, used, last, pos, breaks):
+        if len(order) == len(devices):
+            if centre and dims.cells == 2 * pos + 1:  # the centre unit follows the half
+                breaks += _junction_breaks(nl, last, centre[0], pos, dims.cols)
+            if breaks < best[0]:
+                best[:] = breaks, order
+            return
+        for i, d in enumerate(devices):
+            if used >> i & 1 or best[0] <= breaks:
+                continue
+            half = d.unit_count // 2
+            after = breaks + (_junction_breaks(nl, last, d.name, pos, dims.cols) if half else 0)
+            state = (used | 1 << i, d.name if half else last)
+            if seen.get(state, math.inf) > after:
+                seen[state] = after
+                walk(order + (d,), *state, pos + half, after)
+
+    walk((), 0, None, 0, 0)
+    return best[1]
+
+
+def _junction_breaks(nl: Netlist, a, b, pos: int, cols: int) -> int:
+    """Breaks where device ``b``'s units follow ``a``'s from half position
+    ``pos``: at pos-1|pos and its image cells-pos-1|cells-pos, unless ``pos`` starts a row."""
+    if pos % cols == 0 or nl.diffusion_nets[a] & nl.diffusion_nets[b]:
+        return 0
+    return 2
 
 
 def _mirrored_fill(order, dims: GridDims) -> Placement:

@@ -69,13 +69,6 @@ class Placement:
 
     # -- views --------------------------------------------------------------
 
-    def unit_positions(self) -> dict[str, list[tuple[int, int]]]:
-        pos: dict[str, list[tuple[int, int]]] = {}
-        for i, c in enumerate(self.cells):
-            if isinstance(c, str):
-                pos.setdefault(c, []).append(self.coord(i))
-        return pos
-
     def validate(self, nl: Netlist) -> None:
         """Check that every netlist device has exactly its unit count placed
         and that no other device appears."""

@@ -10,10 +10,21 @@ s..n.  The heaviest edge of that cycle is dropped, so the gain is its weight
 minus the hook's length, floored at 0; a trial whose p is n gains 0.
 
 Each round roots the tree once, scores every (edge, node) trial from that
-rooting and applies the best.  Ties keep the scan-order rules: the first
-strictly-best positive gain in (edge, node) order wins, edges in tree-list
-order and nodes by index, and the dropped edge is the first strictly
-heaviest on the cycle counted from q.  Seeded archives depend on both.
+rooting and applies the best.  The rooting's depth-first walk fills the
+path-max matrix: a node x reached from its parent x' by an edge of weight w
+gets pm[x][y] = pm[y][x] = max(pm[x'][y], w) for each node y visited
+before it.  Ties keep the scan-order rules: the first strictly-best
+positive gain in (edge, node) order wins, edges in tree-list order and
+nodes by index, and the dropped edge is the first strictly heaviest on the
+cycle counted from q.  Seeded archives depend on both.  A round must lower
+the tree's length by exactly its gain, at least 1, or ``SteinerError`` is
+raised, so no net takes more rounds than its spanning tree's length.
+
+``routing_cost`` keys a net by the smaller of its sorted row-major cell
+indices and their 180-degree image (cells-1-i, reversed), so a cache hit
+builds no pins.  A miss costs the smaller of its sorted (x, y) pins and
+their image: both name the same pair of pin sets, but the Steiner
+heuristic is not rotation-invariant, so the (x, y) rule picks the tree.
 """
 
 from __future__ import annotations
@@ -26,6 +37,10 @@ from .netlist import Netlist
 from .placement import Placement
 
 Point = tuple[int, int]
+
+
+class SteinerError(RuntimeError):
+    """An applied Steiner round did not lower the tree's length by its gain."""
 
 
 @dataclass
@@ -59,26 +74,19 @@ def rmst(pins) -> RoutingGraph:
         raise ValueError("at least one pin required")
     n = len(pts)
     edges: list[tuple[int, int, int]] = []
-    if n > 1:
-        best_w = [manhattan(pts[0], q) for q in pts]
-        best_src = [0] * n
-        in_tree = [False] * n
-        in_tree[0] = True
-        for _ in range(n - 1):
-            pick = -1
-            for j in range(n):
-                if in_tree[j]:
-                    continue
-                if pick < 0 or (best_w[j], best_src[j], j) < (best_w[pick], best_src[pick], pick):
-                    pick = j
-            edges.append((best_src[pick], pick, best_w[pick]))
-            in_tree[pick] = True
-            for j in range(n):
-                if not in_tree[j]:
-                    w = manhattan(pts[pick], pts[j])
-                    if w < best_w[j] or (w == best_w[j] and pick < best_src[j]):
-                        best_w[j] = w
-                        best_src[j] = pick
+    x0, y0 = pts[0]
+    best = [(abs(x - x0) + abs(y - y0), 0) for x, y in pts]  # (weight, source) per node
+    rest = list(range(1, n))
+    while rest:
+        pick = min(rest, key=best.__getitem__)
+        rest.remove(pick)
+        edges.append((best[pick][1], pick, best[pick][0]))
+        px, py = pts[pick]
+        for j in rest:
+            x, y = pts[j]
+            via = (abs(px - x) + abs(py - y), pick)
+            if via < best[j]:
+                best[j] = via
     return RoutingGraph(pts, edges, n)
 
 
@@ -87,97 +95,77 @@ def rmst(pins) -> RoutingGraph:
 # ---------------------------------------------------------------------------
 
 
-def _path_max(n_nodes, edges) -> np.ndarray:
-    """m[a, b]: largest edge weight on the unique tree path a..b.
-
-    Merges the tree's edges in weight order, as Kruskal would: the edge that
-    joins the components of a and b is the heaviest on their path, so each
-    merge fills one block of the matrix with its weight.
-    """
-    m = np.zeros((n_nodes, n_nodes), dtype=np.int64)
-    comp = np.arange(n_nodes)
-    members = list(np.arange(n_nodes)[:, None])
-    for u, v, w in sorted(edges, key=lambda e: e[2]):
-        cu, cv = comp[u], comp[v]
-        a, b = members[cu], members[cv]
-        m[a[:, None], b] = w  # one orientation; the transpose fills the other
-        comp[b] = cu
-        members[cu] = np.concatenate((a, b))
-    return np.maximum(m, m.T)
-
-
 def _rooted(n_nodes, edges):
-    """DFS from node 0: parents plus entry/exit stamps for subtree tests."""
+    """Depth-first walk from node 0: parents, preorder ranks ``tin``, the
+    last rank ``tout`` in each node's subtree, and the path-max matrix
+    indexed by rank."""
     adj = [[] for _ in range(n_nodes)]
-    for u, v, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
     parent = [-1] * n_nodes
     tin = [0] * n_nodes
-    tout = [0] * n_nodes
-    timer = 0
-    stack = [(0, False)]
-    seen = [False] * n_nodes
-    seen[0] = True
+    order = []
+    pm = np.zeros((n_nodes, n_nodes), dtype=np.int64)
+    stack = [(0, -1, 0)]
     while stack:
-        v, leaving = stack.pop()
-        if leaving:
-            tout[v] = timer
-            timer += 1
-            continue
-        tin[v] = timer
-        timer += 1
-        stack.append((v, True))
-        for nbr in adj[v]:
-            if not seen[nbr]:
-                seen[nbr] = True
-                parent[nbr] = v
-                stack.append((nbr, False))
-    return parent, tin, tout
+        x, up, w = stack.pop()
+        k = tin[x] = len(order)
+        order.append(x)
+        if up >= 0:
+            parent[x] = up
+            pm[k, :k] = pm[:k, k] = np.maximum(pm[tin[up], :k], w)
+        for y, wy in adj[x]:
+            if y != up:
+                stack.append((y, x, wy))
+    tout = tin[:]
+    for x in reversed(order[1:]):
+        tout[parent[x]] = max(tout[parent[x]], tout[x])
+    return parent, tin, tout, pm
 
 
 def _trials(nodes, edges):
     """Every (edge, node) trial of one round, from one rooting of the tree.
 
-    Returns ``(gain, p, s_end, rooting)``: the (edge, node) gain matrix, the
-    Steiner points ``p[e, n]``, the endpoint ``s_end[e, n]`` of edge e that
-    stays on node n's side once e is cut, and the ``_rooted`` arrays that
-    the applied trial walks.
+    Returns ``(gain, (px, py), s_end, rooting)``: the (edge, node) gain
+    matrix, the Steiner points ``(px[e, n], py[e, n])``, the endpoint
+    ``s_end[e, n]`` of edge e that stays on node n's side once e is cut,
+    and the ``_rooted`` walk that the applied trial follows.
     """
-    n_nodes = len(nodes)
-    xy = np.array(nodes, dtype=np.int64)
+    x, y = np.array(nodes, dtype=np.int64).T
     u, v, _ = np.array(edges, dtype=np.int64).T
-    parent, tin, tout = rooting = np.array(_rooted(n_nodes, edges))
-    xu, xv = xy[u][:, None, :], xy[v][:, None, :]
-    p = np.minimum(np.maximum(xy, np.minimum(xu, xv)), np.maximum(xu, xv))
-    d_np = np.abs(p - xy).sum(axis=2)
-    child = np.where(parent[v] == u, v, u)[:, None]
-    other = (u + v)[:, None] - child
-    inside = (tin[child] <= tin) & (tout <= tout[child])
-    s_end = np.where(inside, child, other)
-    d_ps = np.abs(p - xy[s_end]).sum(axis=2)
-    pathmax = _path_max(n_nodes, edges)[np.arange(n_nodes), s_end]
-    gain = np.maximum(np.maximum(d_ps, pathmax), d_np) - d_np
+    rooting = _rooted(len(nodes), edges)
+    tin, tout = np.array(rooting[1:3])
+    xu, xv, yu, yv = x[u, None], x[v, None], y[u, None], y[v, None]
+    px = np.minimum(np.maximum(x, np.minimum(xu, xv)), np.maximum(xu, xv))
+    py = np.minimum(np.maximum(y, np.minimum(yu, yv)), np.maximum(yu, yv))
+    d_np = np.abs(px - x) + np.abs(py - y)
+    deeper = tin[u] > tin[v]  # u is v's child
+    child, other = np.where(deeper, u, v)[:, None], np.where(deeper, v, u)[:, None]
+    s_end = np.where((tin[child] <= tin) & (tin <= tout[child]), child, other)
+    d_ps = np.abs(px - x[s_end]) + np.abs(py - y[s_end])
+    gain = np.maximum(np.maximum(d_ps, rooting[3][tin, tin[s_end]]), d_np) - d_np
     gain[d_np == 0] = 0
-    return gain, p, s_end, rooting
+    return gain, (px, py), s_end, rooting
 
 
 def steiner_improve(g: RoutingGraph) -> RoutingGraph:
     """Apply the best positive-gain reconnection until none remains."""
     nodes, edges = list(g.nodes), list(g.edges)
     while len(edges) >= 2:
-        gain, p, s_end, (parent, tin, tout) = _trials(nodes, edges)
-        ei, n = divmod(int(np.argmax(gain)), len(nodes))
-        if gain[ei, n] <= 0:
+        gain, (px, py), s_end, (parent, tin, tout, _) = _trials(nodes, edges)
+        ei, n = divmod(int(gain.argmax()), len(nodes))
+        best = int(gain[ei, n])
+        if best <= 0:
             break
-        u, v, _ = edges[ei]
+        u, v, w = edges[ei]
         s, q = int(s_end[ei, n]), len(nodes)
-        nodes.append((int(p[ei, n, 0]), int(p[ei, n, 1])))
+        nodes.append((int(px[ei, n]), int(py[ei, n])))
         # the cycle from q: (q, s), then s up to the common ancestor and
         # down to n, through the edge from each node to its parent
         up = {(a if parent[a] == b else b): k for k, (a, b, _) in enumerate(edges)}
         top, rise = s, []
-        while not (tin[top] <= tin[n] and tout[n] <= tout[top]):
+        while not tin[top] <= tin[n] <= tout[top]:
             rise.append(up[top])
             top = parent[top]
         fall, b = [], n
@@ -188,10 +176,13 @@ def steiner_improve(g: RoutingGraph) -> RoutingGraph:
         for k in rise + fall[::-1]:
             if edges[k][2] > drop_w:
                 drop, drop_w = k, edges[k][2]
-        edges = [e for k, e in enumerate(edges) if k != ei and k != drop]
-        edges += [(q, end, manhattan(nodes[q], nodes[end]))
-                  for end in (u, v) if end != s or drop is not None]
-        edges.append((n, q, manhattan(nodes[n], nodes[q])))
+        added = [(q, end, manhattan(nodes[q], nodes[end]))
+                 for end in (u, v) if end != s or drop is not None]
+        added.append((n, q, manhattan(nodes[n], nodes[q])))
+        removed, put = w + (drop_w if drop is not None else 0), sum(e[2] for e in added)
+        if removed != put + best:
+            raise SteinerError(f"a round of gain {best} removed weight {removed} and added {put}")
+        edges = [e for k, e in enumerate(edges) if k != ei and k != drop] + added
     return RoutingGraph(nodes, edges, g.n_pins)
 
 
@@ -212,27 +203,28 @@ def routing_cost(p: Placement, nl: Netlist, *, cache: dict | None = None) -> int
     """Summed Steiner-improved net lengths over the netlist's route nets.
 
     Each net's pins are the positions of all units of its member devices.
-    Pins are evaluated in a canonical orientation (the lexicographically
-    smaller of the pin set and its 180-degree rotation), which makes the
-    cost invariant under rotating the whole placement.  ``cache`` maps
-    canonical pin tuples to costs and may be shared across evaluations of
-    the same netlist.
+    ``cache`` maps net keys (see the module docstring) to costs and may be
+    shared across evaluations on one grid.  The cost is invariant under
+    rotating the whole placement.
     """
     if cache is None:
         cache = {}
-    pos = p.unit_positions()
+    at: dict[str, list[int]] = {}
+    for i, c in enumerate(p.cells):
+        if c is not None:
+            at.setdefault(c, []).append(i)
+    last = p.dims.cells - 1
     total = 0
     for _, members in nl.route_nets:
-        pins: list[Point] = []
-        for m in members:
-            pins.extend(pos.get(m, ()))
-        if len(pins) < 2:
+        idx = [i for m in members for i in at.get(m, ())]
+        if len(idx) < 2:
             continue
-        pins.sort()
-        rotated = sorted((p.dims.cols + 1 - x, p.dims.rows + 1 - y) for x, y in pins)
-        canon = tuple(min(pins, rotated))
-        cost = cache.get(canon)
+        idx.sort()
+        key = tuple(min(idx, [last - i for i in reversed(idx)]))
+        cost = cache.get(key)
         if cost is None:
-            cost = cache[canon] = net_cost(canon)
+            pins = sorted(map(p.coord, key))
+            rotated = sorted(p.coord(last - i) for i in key)
+            cost = cache[key] = net_cost(tuple(min(pins, rotated)))
         total += cost
     return total

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -276,17 +278,70 @@ def test_initial_odd_device_needs_centre():
 
 def test_initial_stops_at_first_break_free_order(monkeypatch):
     # every mirror device shares gate and source, so the first of the 8!
-    # orders has no break and no later order is looked at
+    # orders has no break and no later order is looked at: the search
+    # checks one junction per device of that order and no other
     calls = []
+    junction_breaks = anneal._junction_breaks
 
-    def counting(p, nl):
-        calls.append(p)
-        return count_diffusion_breaks(p, nl)
+    def counting(*args):
+        calls.append(args)
+        return junction_breaks(*args)
 
-    monkeypatch.setattr(anneal, "count_diffusion_breaks", counting)
+    monkeypatch.setattr(anneal, "_junction_breaks", counting)
     s = initial_placement(current_mirror_netlist([2] * 8), GridDims(2, 8))
-    assert len(calls) == 1
+    assert len(calls) == 8
     assert s.objectives.diffusion_breaks == 0
+
+
+def _naive_initial_placement(nl, dims):
+    """Reference: fill and break-count every device order, keeping the first
+    with the fewest breaks and stopping at one without breaks."""
+    best = None
+    for order in itertools.permutations(nl.devices):
+        p = anneal._mirrored_fill(order, dims)
+        breaks = count_diffusion_breaks(p, nl)
+        if best is None or breaks < best[0]:
+            best = (breaks, p)
+            if breaks == 0:
+                break
+    return best[1]
+
+
+@st.composite
+def _initial_instances(draw):
+    """2-6 devices of 1-3 unit pairs on nets drawn from a pool that makes them
+    share often or rarely; maybe one odd device on an odd x odd grid."""
+    n = draw(st.integers(2, 6))
+    pool = draw(st.integers(1, 2 * n))
+    odd = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    devices = tuple(
+        DeviceSpec(f"D{i}", 2 * draw(st.integers(1, 3)) - (i == odd), "G",
+                   f"n{draw(st.integers(0, pool - 1))}", f"n{draw(st.integers(0, pool - 1))}")
+        for i in range(n))
+    units = sum(d.unit_count for d in devices)
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(-(-units // rows), -(-units // rows) + 3))
+    if odd is not None:
+        rows, cols = rows | 1, cols | 1
+    return Netlist(devices), GridDims(rows, cols)
+
+
+@given(_initial_instances())
+@settings(deadline=None, max_examples=200)
+def test_initial_order_matches_naive_scan(case):
+    nl, dims = case
+    assert initial_placement(nl, dims).placement == _naive_initial_placement(nl, dims)
+
+
+def test_initial_disjoint_devices_skip_the_order_scan():
+    # eight two-unit devices with pairwise disjoint nets: all 8! orders
+    # have 14 breaks, and the first one is found without scanning them
+    nl = Netlist(tuple(DeviceSpec(f"M{i}", 2, f"G{i}", f"S{i}", f"D{i}") for i in range(8)))
+    t0 = time.perf_counter()
+    s = initial_placement(nl, GridDims(2, 8))
+    assert time.perf_counter() - t0 < 0.05
+    assert s.objectives.diffusion_breaks == 14
+    assert s.placement == _naive_initial_placement(nl, GridDims(2, 8))
 
 
 def test_initial_rejects_overfull_grid():

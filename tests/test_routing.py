@@ -12,6 +12,7 @@ from ccplace import (
     DeviceSpec,
     GridDims,
     Netlist,
+    Placement,
     RoutingGraph,
     kruskal_mst_weight,
     manhattan,
@@ -189,6 +190,21 @@ def _naive_reconnect(nodes, edges, ei, n, p):
     return trial, cycle[::-1]
 
 
+def test_round_that_does_not_pay_raises():
+    # a round must lower the tree's length by exactly its gain; the check is
+    # an explicit raise, so it also holds under python -O
+    real = routing._trials
+
+    def overstated(nodes, edges):
+        gain, *rest = real(nodes, edges)
+        gain.flat[gain.argmax()] += 1
+        return (gain, *rest)
+
+    with mock.patch.object(routing, "_trials", overstated):
+        with pytest.raises(routing.SteinerError, match="gain 3 removed weight 8 and added 6"):
+            steiner_improve(rmst([(1, 1), (5, 1), (3, 3)]))
+
+
 _GRIDS = st.one_of(st.just((2, 16)), st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(lambda rc: rc[0] * rc[1] >= 2))
 
 
@@ -259,3 +275,70 @@ def test_routing_cost_cache_reuse(pair_netlist, topologies):
 def test_topology_routing_costs(pair_netlist, topologies):
     costs = {k: routing_cost(p, pair_netlist) for k, p in topologies.items()}
     assert costs == {1: 10, 2: 8, 3: 8, 4: 10}
+
+
+def test_route_cache_costs_the_smaller_xy_pin_tuple():
+    # A's pins S and their 180-degree image rot S have Steiner costs 8 and 7,
+    # since the heuristic is not rotation-invariant.  Both placements cost 8,
+    # the cost of the smaller (x, y) pin tuple S, whichever one a shared
+    # cache sees first; taking the smaller cell-index tuple would give 7.
+    nl = Netlist((DeviceSpec("A", 5, "G", "S", "D"),), (("A", ("A",)),))
+    s = make_grid(["  A ",
+                   "A   ",
+                   " A  ",
+                   "A A "])
+    rot_s = make_grid([" A A",
+                       "  A ",
+                       "   A",
+                       " A  "])
+    assert rot_s.cells == s.cells[::-1]
+    assert net_cost([(1, 2), (1, 4), (2, 3), (3, 1), (3, 4)]) == 8
+    assert net_cost([(2, 1), (2, 4), (3, 2), (4, 1), (4, 3)]) == 7
+    assert routing_cost(s, nl) == routing_cost(rot_s, nl) == 8
+    for first, second in ((s, rot_s), (rot_s, s)):
+        cache = {}
+        assert [routing_cost(p, nl, cache=cache) for p in (first, second)] == [8, 8]
+        assert len(cache) == 1
+
+
+def _naive_routing_cost(p, nl, keys):
+    """Reference rule: each net's pins from their coordinates, sorted, the
+    smaller of them and their 180-degree rotation, then ``net_cost``; the
+    chosen pin tuples are added to ``keys``."""
+    rows, cols = p.dims.rows, p.dims.cols
+    total = 0
+    for _, members in nl.route_nets:
+        pins = sorted((i % cols + 1, i // cols + 1) for i, c in enumerate(p.cells) if c in members)
+        if len(pins) >= 2:
+            rotated = sorted((cols + 1 - x, rows + 1 - y) for x, y in pins)
+            keys.add(tuple(min(pins, rotated)))
+            total += net_cost(min(pins, rotated))
+    return total
+
+
+@st.composite
+def _placement_sequences(draw):
+    """A netlist of 1-4 devices with 1-4 route nets of 1-3 members, and 1-5
+    placements on one grid of up to 6x6 with empty cells; a placement may be
+    the 180-degree image of the one before it."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    names = "ABCD"[:draw(st.integers(1, 4))]
+    cells = st.lists(st.sampled_from((None, *names)), min_size=rows * cols, max_size=rows * cols)
+    seq = [draw(cells)]
+    for _ in range(draw(st.integers(0, 4))):
+        seq.append(seq[-1][::-1] if draw(st.booleans()) else draw(cells))
+    nets = draw(st.lists(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True),
+                         min_size=1, max_size=4))
+    nl = Netlist(tuple(DeviceSpec(n, 1, "G", "S", "D") for n in names),
+                 tuple((f"N{k}", tuple(members)) for k, members in enumerate(nets)))
+    return nl, [Placement(GridDims(rows, cols), tuple(c)) for c in seq]
+
+
+@given(_placement_sequences())
+@settings(deadline=None, max_examples=150)
+def test_routing_cost_matches_naive_rule(case):
+    nl, placements = case
+    cache, keys = {}, set()
+    for p in placements:
+        assert routing_cost(p, nl, cache=cache) == _naive_routing_cost(p, nl, keys)
+        assert len(cache) == len(keys)  # the same lookups hit and miss
