@@ -217,7 +217,9 @@ class CcAnnealer:
     cost and grows by at most one entry per route net of each placement the
     evaluation cache misses.  The move cache holds the CC candidates of each
     (placement, swap) pair that ``enumerate_perturbations`` has built, for
-    any bounds, and grows by at most one entry per step.
+    any bounds, and grows by at most one entry per step.  The objective
+    envelope ``ranges`` grows on evaluation-cache misses only, the initial
+    placement's among them: a hit returns a vector it already holds.
     """
 
     def __init__(self, nl: Netlist, dims: GridDims, cfg: SaConfig = SaConfig()):
@@ -233,7 +235,6 @@ class CcAnnealer:
         o = self.initial.objectives
         self.db_max = self.cfg.db_max if self.cfg.db_max is not None else o.diffusion_breaks
         self.dummy_max = self.cfg.dummy_max if self.cfg.dummy_max is not None else o.dummy_count
-        self.ranges.update(o)
         if o.diffusion_breaks <= self.db_max and o.dummy_count <= self.dummy_max:
             self.archive.insert(self.initial)
 
@@ -242,6 +243,7 @@ class CcAnnealer:
         if vec is None:
             vec = evaluate(placement, self.netlist, route_cache=self._route_cache)
             self._eval_cache[placement.cells] = vec
+            self.ranges.update(vec)
         return vec
 
     def step(self, cur: Solution, temp: float, rng) -> Solution:
@@ -253,8 +255,6 @@ class CcAnnealer:
         if not candidates:
             return cur
         evaluated = [Solution(c, self.evaluate(c)) for c in candidates]
-        for s in evaluated:
-            self.ranges.update(s.objectives)
         new_pts = [
             s for s in evaluated
             if not any(dominates(o.objectives, s.objectives) for o in evaluated if o is not s)

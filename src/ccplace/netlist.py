@@ -157,7 +157,7 @@ def parse_grid(text: str) -> tuple[int, int] | None:
 def _load_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise NetlistError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise NetlistError("invalid JSON: nested too deeply") from None

@@ -8,9 +8,10 @@ between devices), routed net length, diffusion breaks, and dummy count.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .netlist import Netlist
 from .placement import Placement, count_diffusion_breaks, count_dummies
@@ -156,27 +157,22 @@ def dominates(a: tuple, b: tuple) -> bool:
     worse, at least one better."""
     if len(a) != len(b):
         raise ValueError(f"objective vectors differ in length: {len(a)} vs {len(b)}")
-    return a != b and all(x <= y for x, y in zip(a, b))
+    # map(operator.le) runs the component loop in C
+    return all(map(operator.le, a, b)) and a != b
 
 
 class ObjectiveRanges:
     """Running per-component (min, max) envelope of all evaluated vectors.
 
     The widths normalise domination amounts; a component never seen to vary
-    gets width 1 so it stays neutral.
+    gets width 1 so it stays neutral.  Adding a vector twice changes
+    nothing, so ``CcAnnealer`` adds each one once, on its evaluation-cache
+    miss.
     """
 
     def __init__(self) -> None:
         self._lo: list[float] | None = None
         self._hi: list[float] | None = None
-
-    @classmethod
-    def from_bounds(cls, bounds: Iterable[tuple[float, float]]) -> "ObjectiveRanges":
-        r = cls()
-        pairs = list(bounds)
-        r._lo = [float(lo) for lo, _ in pairs]
-        r._hi = [float(hi) for _, hi in pairs]
-        return r
 
     def update(self, vec: tuple) -> None:
         if self._lo is None:

@@ -162,7 +162,7 @@ def break_positions(p: Placement, nl: Netlist) -> frozenset[tuple[int, int]]:
                 terms = nets[cell]
             except KeyError:
                 raise PlacementError(f"device {cell!r} is not in the netlist") from None
-            if prev is not None and not (prev & terms):
+            if prev is not None and prev.isdisjoint(terms):
                 out.add((x - 1, y))
             prev = terms
     return frozenset(out)

@@ -197,7 +197,7 @@ def report_from_json(text: str) -> RunReport:
     inconsistent field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ValueError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ValueError("invalid JSON: nested too deeply") from None

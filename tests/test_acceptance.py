@@ -19,7 +19,6 @@ from ccplace import (
     DeviceSpec,
     GridDims,
     Netlist,
-    ObjectiveRanges,
     SaConfig,
     accept_probability,
     cc_enumerate,
@@ -40,7 +39,7 @@ from ccplace import (
 from ccplace.cli import main
 from ccplace.placement import Placement
 
-from conftest import make_grid
+from conftest import make_grid, ranges_of
 
 
 @contextmanager
@@ -134,11 +133,11 @@ def test_criterion_1_formula_fidelity():
 
 def test_criterion_2_domination_and_acceptance_arithmetic():
     with criterion(2, "domination amount and acceptance probability arithmetic"):
-        r = ObjectiveRanges.from_bounds([(0, 1), (0, 1)])
+        r = ranges_of([(0, 1), (0, 1)])
         assert abs(delta_dom((0, 0), (1, 1), r) - 1.0) < 1e-12
-        r2 = ObjectiveRanges.from_bounds([(0, 1), (0, 2)])
+        r2 = ranges_of([(0, 1), (0, 2)])
         assert abs(delta_dom((1, 2), (2, 4), r2) - 1.0) < 1e-12
-        r3 = ObjectiveRanges.from_bounds([(0, 2), (0, 10)])
+        r3 = ranges_of([(0, 2), (0, 10)])
         assert abs(delta_dom((0, 5), (1, 5), r3) - 0.5) < 1e-12
         assert abs(accept_probability(2.0, 2.0) - 1.0 / (1.0 + math.e)) < 1e-12
         for t in (1e-7, 1e-3, 0.5, 1.0, 37.0, 100.0, 1e6):

@@ -37,7 +37,7 @@ from ccplace import (
 from ccplace import anneal
 from ccplace.anneal import _choose_next
 
-from conftest import FakeRng, make_grid
+from conftest import FakeRng, make_grid, ranges_of
 
 
 def vec(*t):
@@ -82,7 +82,7 @@ def test_prob_bounds_and_errors():
 
 
 def unit_ranges():
-    return ObjectiveRanges.from_bounds([(0, 1)] * 5)
+    return ranges_of([(0, 1)] * 5)
 
 
 def archive_of(*sols):
@@ -109,7 +109,7 @@ def test_avg_archive_only_k1_zero():
 def test_avg_mean_of_two():
     cur = sol(0, 0, 0, 0, 0)
     new = [sol(1, 0, 0, 0, 0), sol(0, 1, 0, 0, 0)]
-    r = ObjectiveRanges.from_bounds([(0, 1), (0, 1 / 3), (0, 1), (0, 1), (0, 1)])
+    r = ranges_of([(0, 1), (0, 1 / 3), (0, 1), (0, 1), (0, 1)])
     # amounts 1 and 3 -> mean 2
     assert delta_dom_avg(cur, new, Archive(), r) == pytest.approx(2.0, abs=1e-12)
 
@@ -134,7 +134,7 @@ def test_avg_grouped_equals_archive_order_sum(members, cands, widths):
                            for i, v in enumerate(members)))
     cur = sol(1, 1, 1, 0, 0)
     new = [sol(a, b, c, 0, 0) for a, b, c in cands]
-    ranges = ObjectiveRanges.from_bounds([(0, w) for w in widths])
+    ranges = ranges_of([(0, w) for w in widths])
     total, count = 0.0, 0
     for s in [*archive, cur]:
         for cand in new:
@@ -438,6 +438,29 @@ def test_run_raises_when_no_placement_is_within_bounds():
     assert len(annealer.archive) == 0
     with pytest.raises(ValueError, match=r"db_max=0 and dummy_max=4.* 2 breaks and 4 dummies"):
         annealer.run()
+
+
+def test_envelope_grows_once_per_unique_evaluation(monkeypatch):
+    updates, misses = [], []
+    update, evaluate = ObjectiveRanges.update, anneal.evaluate
+
+    def counting_update(self, vec):
+        updates.append(vec)
+        update(self, vec)
+
+    def counting_evaluate(*args, **kwargs):
+        misses.append(args[0].cells)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(ObjectiveRanges, "update", counting_update)
+    monkeypatch.setattr(anneal, "evaluate", counting_evaluate)
+    annealer = CcAnnealer(cascode_diff_input_netlist([4, 4, 2, 2]), GridDims(2, 6), SaConfig(seed=1))
+    annealer.run()
+    seen = annealer._eval_cache
+    assert len(misses) == len(set(misses)) == len(seen) == len(updates)
+    assert updates == [seen[cells] for cells in misses]
+    columns = list(zip(*seen.values()))
+    assert annealer.ranges.bounds() == [(min(c), max(c)) for c in columns]
 
 
 def test_select_singleton():

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from ccplace import DeviceSpec, Netlist, NetlistError, parse_grid, parse_netlist
+from ccplace.cli import main
+
+from conftest import json_values, mutated
 
 
 def doc(**overrides):
@@ -76,6 +84,8 @@ def test_duplicate_device_names():
 def test_invalid_json_diagnostic():
     with pytest.raises(NetlistError, match="invalid JSON"):
         parse_netlist("{nope")
+    with pytest.raises(NetlistError, match="invalid JSON"):  # past the integer digit limit
+        parse_netlist('{"devices": 1' + "0" * 5000 + "}")
 
 
 def test_parse_grid():
@@ -97,3 +107,52 @@ def test_device_spec_validation():
 def test_netlist_ctor_checks_members():
     with pytest.raises(NetlistError):
         Netlist((DeviceSpec("A", 1, "G", "S", "D"),), (("N", ("B",)),))
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+_NETLIST = {
+    "devices": [
+        {"name": "M1", "units": 2, "gate": "G", "source": "S", "drain": "G"},
+        {"name": "M2", "units": 4, "gate": "G", "source": "S", "drain": "D1"},
+        {"name": "M3", "units": 4, "gate": "G", "source": "S", "drain": "D2"},
+    ],
+    "route_nets": [{"net": "G", "members": ["M1", "M2", "M3"]}, {"net": "D1", "members": ["M2"]}],
+    "grid": {"rows": 2, "cols": 5},
+}
+netlist_documents = json_values | mutated(_NETLIST)
+
+
+def _rejected(text):
+    """Whether the netlist reader refuses ``text``; any error other than
+    NetlistError propagates."""
+    try:
+        parse_netlist(text)
+        parse_grid(text)
+    except NetlistError:
+        return True
+    return False
+
+
+@given(netlist_documents)
+@settings(deadline=None, max_examples=400)
+def test_netlist_reader_raises_only_netlist_error(doc):
+    _rejected(json.dumps(doc))
+
+
+@given(netlist_documents)
+@settings(deadline=None, max_examples=50)
+def test_cli_rejects_bad_netlist_in_one_error_line(doc):
+    text = json.dumps(doc)
+    if not _rejected(text):
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "netlist.json"
+        path.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["place", str(path)])
+    assert rc == 1
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -20,7 +20,7 @@ from ccplace import (
     lde_mismatch,
 )
 
-from conftest import make_grid
+from conftest import make_grid, ranges_of
 
 
 # -- dispersion -------------------------------------------------------------
@@ -219,6 +219,36 @@ def test_dominates_strict_partial_order(a, b, c):
         assert dominates(a, c)
 
 
+# Ints and floats mixed, with 0 against 0.0 against -0.0: all three compare
+# equal, so none of them may make a vector dominate its equal.
+_component = st.one_of(st.integers(-2, 2), st.sampled_from([0.0, -0.0, 1.5]),
+                       st.floats(-3, 3, allow_nan=False))
+
+
+@st.composite
+def _vector_pairs(draw):
+    a = draw(st.lists(_component, max_size=6))
+    b = [draw(st.sampled_from([x, float(x), -x]) | _component) for x in a]
+    return tuple(a), tuple(b)
+
+
+@given(_vector_pairs())
+@settings(deadline=None, max_examples=500)
+def test_dominates_matches_naive_rule(pair):
+    a, b = pair
+    for x, y in (a, b), (b, a), (a, a):
+        assert dominates(x, y) is (x != y and all(u <= v for u, v in zip(x, y)))
+
+
+@given(st.lists(_component, max_size=5), st.lists(_component, min_size=1, max_size=3))
+@settings(deadline=None, max_examples=100)
+def test_dominates_rejects_unequal_lengths(a, extra):
+    longer = tuple(a + extra)
+    for x, y in (tuple(a), longer), (longer, tuple(a)):
+        with pytest.raises(ValueError, match="differ in length"):
+            dominates(x, y)
+
+
 def test_dominates_accepts_objective_vectors():
     a = ObjectiveVector(-1.0, 0.0, 3, 0, 0)
     b = ObjectiveVector(-0.5, 0.0, 3, 0, 0)
@@ -229,16 +259,16 @@ def test_dominates_accepts_objective_vectors():
 
 
 def test_delta_dom_examples():
-    r = ObjectiveRanges.from_bounds([(0, 1), (0, 1)])
+    r = ranges_of([(0, 1), (0, 1)])
     assert delta_dom((0, 0), (1, 1), r) == pytest.approx(1.0, abs=1e-12)
-    r2 = ObjectiveRanges.from_bounds([(0, 1), (0, 2)])
+    r2 = ranges_of([(0, 1), (0, 2)])
     assert delta_dom((1, 2), (2, 4), r2) == pytest.approx(1.0, abs=1e-12)
-    r3 = ObjectiveRanges.from_bounds([(0, 2), (0, 10)])
+    r3 = ranges_of([(0, 2), (0, 10)])
     assert delta_dom((0, 5), (1, 5), r3) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_delta_dom_equal_vectors_error():
-    r = ObjectiveRanges.from_bounds([(0, 1)])
+    r = ranges_of([(0, 1)])
     with pytest.raises(ValueError, match="identical"):
         delta_dom((1,), (1,), r)
 
@@ -249,15 +279,15 @@ def test_delta_dom_scale_covariance(width, a0, b0, exp):
     if a0 == b0:
         return
     scale = 2.0 ** exp  # exact in binary floating point
-    r = ObjectiveRanges.from_bounds([(0, width), (0, 1)])
-    r_scaled = ObjectiveRanges.from_bounds([(0, width * scale), (0, 1)])
+    r = ranges_of([(0, width), (0, 1)])
+    r_scaled = ranges_of([(0, width * scale), (0, 1)])
     plain = delta_dom((a0, 0), (b0, 1), r)
     scaled = delta_dom((a0 * scale, 0), (b0 * scale, 1), r_scaled)
     assert plain == scaled
 
 
 def test_delta_dom_positive_when_different():
-    r = ObjectiveRanges.from_bounds([(0, 1), (0, 1)])
+    r = ranges_of([(0, 1), (0, 1)])
     assert delta_dom((0, 1), (1, 1), r) > 0
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import json
 import os
 import subprocess
@@ -29,7 +31,7 @@ from ccplace import (
 )
 from ccplace.cli import build_parser, default_grid_dims, main
 
-from conftest import make_grid
+from conftest import make_grid, mutated
 
 
 # -- rendering ----------------------------------------------------------------
@@ -334,9 +336,25 @@ def test_report_from_json_names_the_field(pair_netlist, pair_dims, edit, field):
     assert str(info.value).startswith(field)
 
 
+@functools.cache
+def _written_report():
+    nl = parse_netlist(json.dumps(NETLIST_DOC))
+    return json.loads(report_to_json(small_report(nl, GridDims(2, 4))))
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=400)
+def test_report_reader_raises_only_value_error(data):
+    doc = data.draw(mutated(_written_report()))
+    with contextlib.suppress(ValueError):
+        report_from_json(json.dumps(doc))
+
+
 def test_report_from_json_rejects_non_json():
     with pytest.raises(ValueError, match="invalid JSON"):
         report_from_json("{not json")
+    with pytest.raises(ValueError, match="invalid JSON"):  # past the integer digit limit
+        report_from_json('{"seed": 1' + "0" * 5000 + "}")
     with pytest.raises(ValueError, match="top level"):
         report_from_json("[]")
 
