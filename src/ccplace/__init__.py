@@ -31,7 +31,15 @@ from .bench import (
     run_benchmarks,
     suite_cases,
 )
-from .netlist import DeviceSpec, Netlist, NetlistError, parse_grid, parse_netlist
+from .netlist import (
+    DeviceSpec,
+    Netlist,
+    NetlistError,
+    netlist_from_dict,
+    netlist_to_dict,
+    parse_grid,
+    parse_netlist,
+)
 from .objectives import (
     OBJECTIVE_NAMES,
     ObjectiveRanges,
@@ -71,7 +79,6 @@ from .placement import (
 )
 from .report import (
     RunReport,
-    netlist_to_dict,
     parse_rendered,
     render_placement,
     report_from_json,

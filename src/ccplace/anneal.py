@@ -49,6 +49,13 @@ class SaConfig:
     seed: int = 0
     selection_weights: tuple[float, float, float, float, float] = DEFAULT_SELECTION_WEIGHTS
 
+    @property
+    def levels(self) -> int:
+        """The number of temperature levels ``run`` anneals at: the k >= 0
+        with t_max * alpha**k > t_min, counted as a log difference, since
+        t_min / t_max underflows for a subnormal t_min."""
+        return math.ceil((math.log(self.t_min) - math.log(self.t_max)) / math.log(self.alpha))
+
     def __post_init__(self) -> None:
         if not (0 < self.t_min < self.t_max < math.inf):
             raise ValueError(f"need 0 < t_min < t_max < inf, got t_min={self.t_min}, t_max={self.t_max}")
@@ -56,9 +63,7 @@ class SaConfig:
             raise ValueError(f"cooling rate must be in (0, 1), got {self.alpha}")
         if self.iters_per_temp < 1:
             raise ValueError(f"iters_per_temp must be positive, got {self.iters_per_temp}")
-        # levels counts the k >= 0 with t_max * alpha**k > t_min; a log
-        # difference, since t_min / t_max underflows for a subnormal t_min
-        levels = math.ceil((math.log(self.t_min) - math.log(self.t_max)) / math.log(self.alpha))
+        levels = self.levels
         if levels * self.iters_per_temp > MAX_STEPS:
             raise ValueError(f"schedule of {levels * self.iters_per_temp:,} steps ({levels:,} levels x "
                              f"{self.iters_per_temp:,} iterations) exceeds the cap of {MAX_STEPS:,}")
@@ -265,7 +270,8 @@ class CcAnnealer:
         return nxt
 
     def run(self, on_iteration=None) -> Archive:
-        """Full anneal: geometric cooling from t_max down to t_min.
+        """Full anneal: geometric cooling from t_max over ``cfg.levels``
+        temperature levels.
 
         Each temperature level draws from its own seeded stream, so a
         change in one level's iteration count cannot cascade into others.
@@ -274,15 +280,13 @@ class CcAnnealer:
         """
         cur = self.initial
         temp = self.cfg.t_max
-        level = 0
-        while temp > self.cfg.t_min:
+        for level in range(self.cfg.levels):
             rng = np.random.default_rng([self.cfg.seed, level])
             for _ in range(self.cfg.iters_per_temp):
                 cur = self.step(cur, temp, rng)
                 if on_iteration is not None:
                     on_iteration(self.archive, cur, temp)
             temp *= self.cfg.alpha
-            level += 1
         if not self.archive:
             o = self.initial.objectives
             raise ValueError(

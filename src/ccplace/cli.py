@@ -10,15 +10,9 @@ import time
 
 from .anneal import DEFAULT_SELECTION_WEIGHTS, CcAnnealer, SaConfig, select_solution
 from .bench import format_table, run_benchmarks, suite_cases
-from .netlist import NetlistError, parse_grid, parse_netlist
+from .netlist import NetlistError, load_json, netlist_from_dict, netlist_to_dict, read_grid
 from .placement import GridDims, PlacementError
-from .report import (
-    RunReport,
-    netlist_to_dict,
-    render_placement,
-    report_from_json,
-    report_to_json,
-)
+from .report import RunReport, render_placement, report_from_json, report_to_json
 
 
 def default_grid_dims(total: int) -> GridDims:
@@ -108,14 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_place(args) -> int:
     with open(args.netlist, encoding="utf-8") as fh:
-        text = fh.read()
-    nl = parse_netlist(text)
+        doc = load_json(fh.read())
+    nl = netlist_from_dict(doc)
     if (args.rows is None) != (args.cols is None):
         raise ValueError("--rows and --cols must be given together")
     if args.rows is not None:
         dims = GridDims(args.rows, args.cols)
     else:
-        file_grid = parse_grid(text)
+        file_grid = read_grid(doc)
         dims = GridDims(*file_grid) if file_grid else default_grid_dims(nl.total_units)
     cfg = _sa_config(
         args,

@@ -14,8 +14,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .anneal import Archive, Solution
-from .netlist import Netlist
+from .anneal import Solution
+from .netlist import entries, field, field_name, load_json, netlist_from_dict, read_grid
+from .netlist import netlist_to_dict  # noqa: F401  (callers import it from here too)
 from .objectives import OBJECTIVE_NAMES, ObjectiveVector
 from .placement import GridDims, Placement, PlacementError
 
@@ -88,87 +89,31 @@ class RunReport:
     wall_clock_s: float | None = None
 
 
-def netlist_to_dict(nl: Netlist) -> dict:
-    return {
-        "devices": [
-            {"name": d.name, "units": d.unit_count, "gate": d.gate_net,
-             "source": d.source_net, "drain": d.drain_net}
-            for d in nl.devices
-        ],
-        "route_nets": [{"net": net, "members": list(members)} for net, members in nl.route_nets],
-    }
-
-
-def _field(doc: dict, key: str, where: str, kind, what: str):
-    """``doc[key]`` checked against ``kind`` and, for a float, finiteness
-    (``json.loads`` reads NaN and Infinity); a ValueError names the field."""
-    name = f"{where}.{key}" if where else key
-    if key not in doc:
-        raise ValueError(f"{name}: missing field")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{name}: must be {what}, got {type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{name}: must be finite, got {value}")
-    return value
-
-
 _NUMBER = (int, float)
 
 
-def _object(doc: dict, key: str, where: str = "") -> dict:
-    return _field(doc, key, where, dict, "an object")
-
-
-def _list(doc: dict, key: str, where: str = "") -> list:
-    return _field(doc, key, where, list, "a list")
-
-
-def _dims_from_json(doc: dict, where: str) -> GridDims:
-    rows, cols = (_field(doc, k, where, int, "a positive integer") for k in ("rows", "cols"))
-    if rows < 1 or cols < 1:
-        raise ValueError(f"{where}: must be at least 1x1, got {rows}x{cols}")
-    return GridDims(rows, cols)
-
-
-def _device_names(netlist: dict) -> frozenset[str]:
-    names = set()
-    for i, device in enumerate(_list(netlist, "devices", "netlist")):
-        where = f"netlist.devices[{i}]"
-        if not isinstance(device, dict):
-            raise ValueError(f"{where}: must be an object")
-        names.add(_field(device, "name", where, str, "a string"))
-    return frozenset(names)
-
-
-def _placement_from_json(doc: dict, where: str, grid: GridDims, devices: frozenset[str]) -> Placement:
-    cells = _list(doc, "cells", where)
+def _placement_from_json(doc: dict, where: tuple, grid: GridDims, devices: frozenset[str]) -> Placement:
+    cells = field(doc, "cells", where, list, "a list")
     if len(cells) != grid.cells:
-        raise ValueError(f"{where}.cells: expected {grid.cells} cells, got {len(cells)}")
+        raise ValueError(f"{field_name(where, 'cells')}: expected {grid.cells} cells, got {len(cells)}")
     for i, c in enumerate(cells):
         if c is None:
             continue
         if not isinstance(c, str):
-            raise ValueError(f"{where}.cells[{i}]: must be null or a device name")
+            raise ValueError(f"{field_name((where, 'cells'), i)}: must be null or a device name")
         if c not in devices:
-            raise ValueError(f"{where}.cells[{i}]: device {c!r} is not in the report's netlist")
+            raise ValueError(f"{field_name((where, 'cells'), i)}: device {c!r} is not in the "
+                             f"report's netlist")
     return Placement(grid, tuple(cells))
 
 
-def _count(doc: dict, key: str, where: str) -> int:
-    value = _field(doc, key, where, int, "an integer")
-    if value < 0:
-        raise ValueError(f"{where}.{key}: must be non-negative, got {value}")
-    return value
-
-
-def _objectives_from_json(doc: dict, where: str) -> ObjectiveVector:
+def _objectives_from_json(doc: dict, where: tuple) -> ObjectiveVector:
     return ObjectiveVector(
-        neg_dispersion=_field(doc, "neg_dispersion", where, _NUMBER, "a number"),
-        lde_mismatch=_field(doc, "lde_mismatch", where, _NUMBER, "a number"),
-        routing_cost=_count(doc, "routing_cost", where),
-        diffusion_breaks=_count(doc, "diffusion_breaks", where),
-        dummy_count=_count(doc, "dummy_count", where),
+        neg_dispersion=field(doc, "neg_dispersion", where, _NUMBER, "a finite number"),
+        lde_mismatch=field(doc, "lde_mismatch", where, _NUMBER, "a finite number"),
+        routing_cost=field(doc, "routing_cost", where, int, "a non-negative integer", 0),
+        diffusion_breaks=field(doc, "diffusion_breaks", where, int, "a non-negative integer", 0),
+        dummy_count=field(doc, "dummy_count", where, int, "a non-negative integer", 0),
     )
 
 
@@ -195,28 +140,19 @@ def report_to_json(r: RunReport) -> str:
 def report_from_json(text: str) -> RunReport:
     """Parse a report; a ValueError names the missing, ill-typed or
     inconsistent field."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise ValueError("invalid JSON: nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise ValueError("top level must be an object")
-    dims = _dims_from_json(_object(doc, "grid"), "grid")
-    netlist = _object(doc, "netlist")
-    devices = _device_names(netlist)
-    archive = []
-    for i, entry in enumerate(_list(doc, "archive")):
-        where = f"archive[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where}: must be an object")
-        archive.append(Solution(
-            _placement_from_json(entry, where, dims, devices),
-            _objectives_from_json(_object(entry, "objectives", where), f"{where}.objectives"),
-        ))
+    doc = load_json(text)
+    field(doc, "grid", "", dict, "an object")  # optional in a netlist file, not here
+    dims = GridDims(*read_grid(doc))
+    netlist = field(doc, "netlist", "", dict, "an object")
+    devices = frozenset(d.name for d in netlist_from_dict(netlist, "netlist").devices)
+    archive = [
+        Solution(_placement_from_json(entry, where, dims, devices),
+                 _objectives_from_json(field(entry, "objectives", where, dict, "an object"),
+                                       (where, "objectives")))
+        for where, entry in entries(doc, "archive")
+    ]
     ranges = []
-    for i, pair in enumerate(_list(doc, "objective_ranges")):
+    for i, pair in enumerate(field(doc, "objective_ranges", "", list, "a list")):
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(isinstance(b, _NUMBER) and not isinstance(b, bool) and math.isfinite(b)
                         for b in pair)):
@@ -224,17 +160,17 @@ def report_from_json(text: str) -> RunReport:
         ranges.append(tuple(pair))
     if len(ranges) != len(OBJECTIVE_NAMES):
         raise ValueError(f"objective_ranges: must hold {len(OBJECTIVE_NAMES)} pairs, got {len(ranges)}")
-    selected = _field(doc, "selected", "", int, "an integer")
+    selected = field(doc, "selected", "", int, "an integer")
     if not 0 <= selected < len(archive):
         raise ValueError(f"selected: must index the {len(archive)}-member archive, got {selected}")
     return RunReport(
-        seed=_field(doc, "seed", "", int, "an integer"),
-        config=_object(doc, "config"),
+        seed=field(doc, "seed", "", int, "an integer"),
+        config=field(doc, "config", "", dict, "an object"),
         dims=dims,
         netlist=netlist,
         archive=archive,
         selected=selected,
         ranges=ranges,
         wall_clock_s=(None if doc.get("wall_clock_s") is None
-                      else _field(doc, "wall_clock_s", "", _NUMBER, "a number")),
+                      else field(doc, "wall_clock_s", "", _NUMBER, "a finite number")),
     )

@@ -344,6 +344,34 @@ def test_initial_disjoint_devices_skip_the_order_scan():
     assert s.placement == _naive_initial_placement(nl, GridDims(2, 8))
 
 
+def test_initial_chains_shared_nets_beyond_eight_devices():
+    # ten devices, so the order is the greedy chain: from A it follows shared
+    # diffusion nets (A-C-E-H), takes the first unchained device when none is
+    # shared (B after H, J after G) and chains again (B-F-D-I-G)
+    nets = ["n0 n1", "n5 n6", "n1 n2", "n7 n8", "n2 n3",
+            "n6 n7", "n9 n10", "n3 n4", "n8 n9", "n11 n12"]
+    names = "ABCDEFGHIJ"
+    nl = Netlist(
+        tuple(DeviceSpec(x, u, "G", *n.split())
+              for x, u, n in zip(names, [4, 2, 2, 4, 2, 2, 2, 4, 2, 2], nets)),
+        (("G", tuple(names)),) + tuple((x, (x,)) for x in names),
+    )
+    dims = GridDims(2, 13)
+    assert [d.name for d in anneal._greedy_chain(nl.devices)] == list("ACEHBFDIGJ")
+    s = initial_placement(nl, dims)
+    assert s.placement == make_grid(["AACEHHBFDDIGJ", "JGIDDFBHHECAA"])
+    assert check_cc(s.placement).is_cc
+    s.placement.validate(nl)
+    # the bounds sit above the start's 4 breaks and 8 dummies, since every
+    # move from it adds breaks
+    archive = run(nl, dims, SaConfig(seed=1, t_min=1.0, iters_per_temp=20, db_max=8, dummy_max=16))
+    sols = list(archive)
+    assert len(sols) > 1
+    for a in sols:
+        assert check_cc(a.placement).is_cc
+        assert not any(dominates(b.objectives, a.objectives) for b in sols)
+
+
 def test_initial_rejects_overfull_grid():
     nl = Netlist((DeviceSpec("A", 4, "G", "S", "D"),))
     with pytest.raises(PlacementError, match="fit"):
@@ -526,6 +554,19 @@ def test_config_validation():
         SaConfig(dummy_max=-1)
     with pytest.raises(ValueError):
         SaConfig(selection_weights=(1, 2, 3))
+
+
+def test_run_anneals_exactly_the_counted_levels():
+    # repeated multiplication leaves t_max * 0.9**9 above t_min = 0.9**9, so
+    # a loop on temp > t_min would run a tenth level that the step cap never
+    # counted: with 111,111 iterations, 1,111,110 steps under a cap of 1,000,000
+    cfg = SaConfig(t_max=1.0, t_min=0.9**9, alpha=0.9, iters_per_temp=1)
+    assert cfg.levels == 9
+    temps = []
+    nl = Netlist((DeviceSpec("A", 4, "G", "S", "D"),))
+    run(nl, GridDims(1, 4), cfg, on_iteration=lambda archive, cur, temp: temps.append(temp))
+    assert len(temps) == cfg.levels * cfg.iters_per_temp
+    assert SaConfig().levels == 21
 
 
 def test_config_refuses_schedule_over_step_cap():

@@ -32,7 +32,7 @@ def test_parse_valid():
     nl = parse_netlist(doc())
     assert [d.name for d in nl.devices] == ["M1", "M2"]
     assert nl.total_units == 6
-    assert nl.device("M2").drain_net == "D1"
+    assert nl.devices[1].drain_net == "D1"
     assert nl.route_nets[0] == ("G", ("M1", "M2"))
 
 

@@ -135,7 +135,7 @@ def random_reports(draw):
         seed=draw(st.integers(0, 2**32)),
         config={},
         dims=dims,
-        netlist={"devices": [{"name": n} for n in names], "route_nets": []},
+        netlist=netlist_to_dict(Netlist(tuple(DeviceSpec(n, 1, "G", "S", "D") for n in names))),
         archive=archive,
         selected=draw(st.integers(0, len(archive) - 1)),
         ranges=[(0.0, 1.0)] * 5,
@@ -324,6 +324,9 @@ _BAD_REPORTS = [
     (lambda d: d["archive"][0]["objectives"].update(diffusion_breaks=-1),
      "archive[0].objectives.diffusion_breaks"),
     (lambda d: d["netlist"].pop("devices"), "netlist.devices"),
+    (lambda d: d["netlist"]["devices"][0].update(units="x"), "netlist.devices[0].units"),
+    (lambda d: d["netlist"]["route_nets"][0]["members"].append("Z"),
+     "netlist.route_nets[0].members[1]: route net 'A' references unknown device 'Z'"),
 ]
 
 
