@@ -89,27 +89,25 @@ class Solution:
 class Archive:
     """Insertion-ordered set of mutually non-dominated solutions.
 
-    Two indexes sit next to the ordered list and always describe it
-    exactly: the set of (vector, cells) keys of the members, and a dict from
-    each distinct member vector to its number of members.  Members with one
-    vector are evicted together, so the dict keeps its vectors in the order
-    of their first member in the list.
+    One ordered dict maps each member's (vector, cells) key to the member.
+    Next to it, a dict from each distinct member vector to its number of
+    members.  Members with one vector are evicted together, so that dict
+    keeps its vectors in the order of their first member.
     """
 
     def __init__(self):
-        self._solutions: list[Solution] = []
-        self._keys: set[tuple[ObjectiveVector, tuple]] = set()
+        self._members: dict[tuple[ObjectiveVector, tuple], Solution] = {}
         self._counts: dict[ObjectiveVector, int] = {}
 
     def __len__(self) -> int:
-        return len(self._solutions)
+        return len(self._members)
 
     def __iter__(self):
-        return iter(self._solutions)
+        return iter(self._members.values())
 
     @property
     def solutions(self) -> tuple[Solution, ...]:
-        return tuple(self._solutions)
+        return tuple(self._members.values())
 
     def vector_counts(self) -> Mapping[ObjectiveVector, int]:
         """Read-only view: each distinct member vector and its member count."""
@@ -122,12 +120,12 @@ class Archive:
         distinct placements with equal vectors coexist.  Domination is
         tested against the distinct vectors only.  Because members are
         mutually non-dominated, a member with ``sol``'s vector rules out
-        both domination of ``sol`` and any eviction, and the list is
+        both domination of ``sol`` and any eviction, and the members are
         rebuilt only when some vector is evicted.
         """
         vec = sol.objectives
         key = (vec, sol.placement.cells)
-        if key in self._keys:
+        if key in self._members:
             return False
         counts = self._counts
         if vec not in counts:
@@ -137,10 +135,8 @@ class Archive:
             if beaten:
                 for v in beaten:
                     del counts[v]
-                self._solutions = [s for s in self._solutions if s.objectives in counts]
-                self._keys = {(s.objectives, s.placement.cells) for s in self._solutions}
-        self._solutions.append(sol)
-        self._keys.add(key)
+                self._members = {k: s for k, s in self._members.items() if k[0] in counts}
+        self._members[key] = sol
         counts[vec] = counts.get(vec, 0) + 1
         return True
 
@@ -168,24 +164,15 @@ def delta_dom_avg(cur: Solution, new_pts, archive: Archive, ranges: ObjectiveRan
     plus every candidate the current point dominates.  With no such
     relation it is 0.0, which makes the acceptance probability a neutral
     0.5.  Members sharing a vector exert the same terms, so each distinct
-    vector's terms are computed once and added once per member, in the
-    order of ``Archive.vector_counts``.
+    vector's terms are computed once and repeated per member.  ``math.fsum``
+    rounds their exact sum once, so the mean does not depend on the order
+    of members or candidates.
     """
-    total = 0.0
-    count = 0
-    for v, members in archive.vector_counts().items():
-        terms = [delta_dom(v, cand.objectives, ranges)
-                 for cand in new_pts if dominates(v, cand.objectives)]
-        if terms:
-            count += members * len(terms)
-            for _ in range(members):
-                for t in terms:
-                    total += t
-    for cand in new_pts:
-        if dominates(cur.objectives, cand.objectives):
-            total += delta_dom(cur.objectives, cand.objectives, ranges)
-            count += 1
-    return total / count if count else 0.0
+    terms = []
+    for v, members in [*archive.vector_counts().items(), (cur.objectives, 1)]:
+        terms += [delta_dom(v, c.objectives, ranges)
+                  for c in new_pts if dominates(v, c.objectives)] * members
+    return math.fsum(terms) / len(terms) if terms else 0.0
 
 
 def _choose_next(cur, new_pts, archive, ranges, temp, rng):
@@ -262,7 +249,7 @@ class CcAnnealer:
         evaluated = [Solution(c, self.evaluate(c)) for c in candidates]
         new_pts = [
             s for s in evaluated
-            if not any(dominates(o.objectives, s.objectives) for o in evaluated if o is not s)
+            if not any(dominates(o.objectives, s.objectives) for o in evaluated)
         ]
         nxt = _choose_next(cur, new_pts, self.archive, self.ranges, temp, rng)
         for s in new_pts:

@@ -50,19 +50,10 @@ def dispersion(p: Placement) -> Fraction:
     n_edges = 2 * rows * cols - rows - cols
     if n_edges == 0:
         raise ValueError("dispersion is undefined on a 1x1 grid")
-    ok = 0
-    for i, c in enumerate(p.cells):
-        if not isinstance(c, str):
-            continue
-        x, y = p.coord(i)
-        if x < cols:
-            right = p.cells[i + 1]
-            if isinstance(right, str) and right != c:
-                ok += 1
-        if y < rows:
-            below = p.cells[i + cols]
-            if isinstance(below, str) and below != c:
-                ok += 1
+    cells = p.cells
+    pairs = [*zip(cells, cells[1:]), *zip(cells, cells[cols:])]  # row-major, then vertical neighbours
+    del pairs[cols - 1:len(cells) - 1:cols]  # a row's last cell and the next row's first
+    ok = sum(1 for a, b in pairs if a != b and a is not None and b is not None)
     return Fraction(2 * ok - n_edges, n_edges)
 
 

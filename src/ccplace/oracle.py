@@ -54,30 +54,8 @@ def dispersion_oracle(p: Placement, budget: OracleBudget = DEFAULT_BUDGET) -> Fr
     return Fraction(2 * ok - len(edges), len(edges))
 
 
-def _mst_weight(points) -> int:
-    # Plain Prim over an explicit point list.
-    n = len(points)
-    if n < 2:
-        return 0
-    dist = lambda a, b: abs(a[0] - b[0]) + abs(a[1] - b[1])
-    in_tree = [False] * n
-    in_tree[0] = True
-    best = [dist(points[0], q) for q in points]
-    total = 0
-    for _ in range(n - 1):
-        pick = min((j for j in range(n) if not in_tree[j]), key=lambda j: best[j])
-        total += best[pick]
-        in_tree[pick] = True
-        for j in range(n):
-            if not in_tree[j]:
-                w = dist(points[pick], points[j])
-                if w < best[j]:
-                    best[j] = w
-    return total
-
-
 def kruskal_mst_weight(pins) -> int:
-    """Second opinion on the spanning-tree weight (Kruskal + union-find)."""
+    """Spanning-tree weight by Kruskal + union-find; ``steiner_oracle`` builds on it."""
     pts = sorted(set(tuple(p) for p in pins))
     n = len(pts)
     if n < 2:
@@ -120,10 +98,10 @@ def steiner_oracle(pins, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     ys = sorted({y for _, y in pts})
     taken = set(pts)
     candidates = [(x, y) for x in xs for y in ys if (x, y) not in taken]
-    best = _mst_weight(pts)
+    best = kruskal_mst_weight(pts)
     for k in range(1, len(pts) - 1):
         for extra in itertools.combinations(candidates, k):
-            w = _mst_weight(pts + list(extra))
+            w = kruskal_mst_weight(pts + list(extra))
             if w < best:
                 best = w
     return best

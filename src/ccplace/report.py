@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .anneal import Solution
-from .netlist import entries, field, field_name, load_json, netlist_from_dict, read_grid
+from .netlist import Netlist, entries, field, field_name, load_json, netlist_from_dict, read_grid
 from .netlist import netlist_to_dict  # noqa: F401  (callers import it from here too)
 from .objectives import OBJECTIVE_NAMES, ObjectiveVector
 from .placement import GridDims, Placement, PlacementError
@@ -92,10 +92,11 @@ class RunReport:
 _NUMBER = (int, float)
 
 
-def _placement_from_json(doc: dict, where: tuple, grid: GridDims, devices: frozenset[str]) -> Placement:
+def _placement_from_json(doc: dict, where: tuple, grid: GridDims, nl: Netlist) -> Placement:
     cells = field(doc, "cells", where, list, "a list")
     if len(cells) != grid.cells:
         raise ValueError(f"{field_name(where, 'cells')}: expected {grid.cells} cells, got {len(cells)}")
+    devices = {d.name for d in nl.devices}
     for i, c in enumerate(cells):
         if c is None:
             continue
@@ -104,7 +105,12 @@ def _placement_from_json(doc: dict, where: tuple, grid: GridDims, devices: froze
         if c not in devices:
             raise ValueError(f"{field_name((where, 'cells'), i)}: device {c!r} is not in the "
                              f"report's netlist")
-    return Placement(grid, tuple(cells))
+    placement = Placement(grid, tuple(cells))
+    try:
+        placement.validate(nl)
+    except PlacementError as e:
+        raise ValueError(f"{field_name(where, 'cells')}: {e}") from None
+    return placement
 
 
 def _objectives_from_json(doc: dict, where: tuple) -> ObjectiveVector:
@@ -144,9 +150,9 @@ def report_from_json(text: str) -> RunReport:
     field(doc, "grid", "", dict, "an object")  # optional in a netlist file, not here
     dims = GridDims(*read_grid(doc))
     netlist = field(doc, "netlist", "", dict, "an object")
-    devices = frozenset(d.name for d in netlist_from_dict(netlist, "netlist").devices)
+    nl = netlist_from_dict(netlist, "netlist")
     archive = [
-        Solution(_placement_from_json(entry, where, dims, devices),
+        Solution(_placement_from_json(entry, where, dims, nl),
                  _objectives_from_json(field(entry, "objectives", where, dict, "an object"),
                                        (where, "objectives")))
         for where, entry in entries(doc, "archive")

@@ -135,14 +135,27 @@ def test_avg_grouped_equals_archive_order_sum(members, cands, widths):
     cur = sol(1, 1, 1, 0, 0)
     new = [sol(a, b, c, 0, 0) for a, b, c in cands]
     ranges = ranges_of([(0, w) for w in widths])
-    total, count = 0.0, 0
-    for s in [*archive, cur]:
-        for cand in new:
-            if dominates(s.objectives, cand.objectives):
-                total += delta_dom(s.objectives, cand.objectives, ranges)
-                count += 1
-    want = total / count if count else 0.0
-    assert delta_dom_avg(cur, new, archive, ranges) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    terms = [delta_dom(s.objectives, cand.objectives, ranges)
+             for s in [*archive, cur] for cand in new if dominates(s.objectives, cand.objectives)]
+    want = math.fsum(terms) / len(terms) if terms else 0.0
+    assert delta_dom_avg(cur, new, archive, ranges) == want
+
+
+@given(st.lists(st.sampled_from(_TRADE_OFFS), min_size=1, max_size=40),
+       st.lists(st.tuples(st.floats(0, 2), st.floats(0, 2), st.integers(0, 4)), min_size=1, max_size=4),
+       st.lists(st.floats(0.05, 5), min_size=5, max_size=5),
+       st.randoms(use_true_random=False))
+@settings(deadline=None, max_examples=300)
+def test_avg_is_independent_of_member_and_candidate_order(members, cands, widths, rnd):
+    sols = [Solution(Placement(GridDims(1, 1), (f"P{i}",)), v) for i, v in enumerate(members)]
+    cur = sol(1, 1, 1, 0, 0)
+    new = [sol(a, b, c, 0, 0) for a, b, c in cands]
+    ranges = ranges_of([(0, w) for w in widths])
+    want = delta_dom_avg(cur, new, archive_of(*sols), ranges)
+    for _ in range(4):
+        rnd.shuffle(sols)
+        rnd.shuffle(new)
+        assert delta_dom_avg(cur, new, archive_of(*sols), ranges) == want
 
 
 # -- case resolution ----------------------------------------------------------

@@ -126,16 +126,21 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def random_reports(draw):
     # 1..5 on each side, so odd x odd grids with a centre cell are common
     dims = GridDims(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
-    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=5, unique=True))
-    cells = st.lists(st.none() | st.sampled_from(names), min_size=dims.cells, max_size=dims.cells)
+    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=min(5, dims.cells),
+                          unique=True))
+    # one unit of each device plus extra units; every member places them all
+    extra = draw(st.lists(st.sampled_from(names), max_size=dims.cells - len(names)))
+    units = [*names, *extra] + [None] * (dims.cells - len(names) - len(extra))
+    cells = st.permutations(units)
     vectors = st.builds(ObjectiveVector, _FINITE, _FINITE, *[st.integers(0, 10**6)] * 3)
     archive = draw(st.lists(st.builds(Solution, cells.map(lambda c: Placement(dims, tuple(c))),
                                       vectors), min_size=1, max_size=4))
+    devices = tuple(DeviceSpec(n, 1 + extra.count(n), "G", "S", "D") for n in names)
     return RunReport(
         seed=draw(st.integers(0, 2**32)),
         config={},
         dims=dims,
-        netlist=netlist_to_dict(Netlist(tuple(DeviceSpec(n, 1, "G", "S", "D") for n in names))),
+        netlist=netlist_to_dict(Netlist(devices)),
         archive=archive,
         selected=draw(st.integers(0, len(archive) - 1)),
         ranges=[(0.0, 1.0)] * 5,
@@ -321,6 +326,8 @@ _BAD_REPORTS = [
     (lambda d: d.update(wall_clock_s=float("-inf")), "wall_clock_s"),
     (lambda d: d.update(objective_ranges=[[0, 1]]), "objective_ranges"),
     (lambda d: d["archive"][0]["cells"].__setitem__(0, "Z"), "archive[0].cells[0]: device 'Z'"),
+    (lambda d: d["archive"][0].update(cells=["A"] * 8),
+     "archive[0].cells: device 'A': 8 units placed, the netlist has 4"),
     (lambda d: d["archive"][0]["objectives"].update(diffusion_breaks=-1),
      "archive[0].objectives.diffusion_breaks"),
     (lambda d: d["netlist"].pop("devices"), "netlist.devices"),
