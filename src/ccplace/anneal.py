@@ -175,7 +175,7 @@ def delta_dom_avg(cur: Solution, new_pts, archive: Archive, ranges: ObjectiveRan
     return math.fsum(terms) / len(terms) if terms else 0.0
 
 
-def _choose_next(cur, new_pts, archive, ranges, temp, rng):
+def _choose_next(cur, new_pts, archive, ranges, temp, rng, memo=None):
     """Resolve the next current point from a non-dominated candidate set.
 
     Candidates dominating the current point win unconditionally; otherwise a
@@ -183,6 +183,10 @@ def _choose_next(cur, new_pts, archive, ranges, temp, rng):
     Within a mutually non-dominated candidate set the dominated-by-cur and
     dominating-cur subsets cannot both be non-empty (transitivity), so the
     three cases are exclusive.
+
+    ``memo`` maps ``(cur's vector, *candidate vectors)`` to its
+    ``delta_dom_avg``.  The caller must empty it whenever the archive's
+    vectors or ``ranges`` change, the other two inputs of the average.
     """
     dominators = [s for s in new_pts if dominates(s.objectives, cur.objectives)]
     if dominators:
@@ -191,27 +195,44 @@ def _choose_next(cur, new_pts, archive, ranges, temp, rng):
     if not pool:
         return cur
     pick = pool[int(rng.integers(len(pool)))]
-    if rng.random() < accept_probability(delta_dom_avg(cur, new_pts, archive, ranges), temp):
+    if memo is None:
+        memo = {}
+    key = (cur.objectives, *(s.objectives for s in new_pts))
+    avg = memo.get(key)
+    if avg is None:
+        avg = memo[key] = delta_dom_avg(cur, new_pts, archive, ranges)
+    if rng.random() < accept_probability(avg, temp):
         return pick
     return cur
 
 
 class CcAnnealer:
     """Binds a netlist and grid to the annealing loop, caching evaluations,
-    routes and moves.
+    routes, moves, junction counts and domination averages.
 
     Objective evaluation is pure, so candidates are evaluated in their
     deterministic enumeration order (and could run in parallel) before any
-    RNG draw happens; seed reproducibility is unaffected.  Three caches live
+    RNG draw happens; seed reproducibility is unaffected.  Four caches live
     as long as the annealer and are never pruned.  The evaluation cache maps
     cells to their vector and grows by at most one entry per candidate.  The
     route cache maps a net's cell-index key (see ``routing``) to its Steiner
     cost and grows by at most one entry per route net of each placement the
     evaluation cache misses.  The move cache holds the CC candidates of each
     (placement, swap) pair that ``enumerate_perturbations`` has built, for
-    any bounds, and grows by at most one entry per step.  The objective
-    envelope ``ranges`` grows on evaluation-cache misses only, the initial
-    placement's among them: a hit returns a vector it already holds.
+    any bounds, and grows by at most one entry per step.  The junction cache
+    maps cells to their (breaks, dummies) counts, read by the bound checks
+    and by evaluation, and grows by at most one entry per bound-checked or
+    evaluated placement.  The objective envelope ``ranges`` grows on
+    evaluation-cache misses only, the initial placement's among them: a hit
+    returns a vector it already holds.
+
+    The domination memo maps ``(current vector, *candidate vectors)`` to
+    ``delta_dom_avg`` (see ``_choose_next``).  It is emptied on every archive
+    admission and every evaluation-cache miss, the only events that can
+    change the archive's vectors or the envelope, so it holds at most one
+    entry per step since the last such event.  Every cache returns exactly
+    what a fresh computation would, and none changes a random draw, so
+    seeded archives do not depend on them.
     """
 
     def __init__(self, nl: Netlist, dims: GridDims, cfg: SaConfig = SaConfig()):
@@ -222,6 +243,8 @@ class CcAnnealer:
         self._route_cache: dict = {}
         self._eval_cache: dict = {}
         self._move_cache: dict = {}
+        self._junction_cache: dict = {}
+        self._dom_memo: dict = {}
         self.archive = Archive()
         self.initial = initial_placement(nl, dims, evaluate_fn=self.evaluate)
         o = self.initial.objectives
@@ -233,16 +256,19 @@ class CcAnnealer:
     def evaluate(self, placement: Placement) -> ObjectiveVector:
         vec = self._eval_cache.get(placement.cells)
         if vec is None:
-            vec = evaluate(placement, self.netlist, route_cache=self._route_cache)
+            vec = evaluate(placement, self.netlist, route_cache=self._route_cache,
+                           junction_cache=self._junction_cache)
             self._eval_cache[placement.cells] = vec
             self.ranges.update(vec)
+            self._dom_memo.clear()
         return vec
 
     def step(self, cur: Solution, temp: float, rng) -> Solution:
         """One perturbation round; updates the archive in place and returns
         the next current point (``cur`` itself when nothing was admissible)."""
         candidates = enumerate_perturbations(
-            cur.placement, self.netlist, rng, self.db_max, self.dummy_max, cache=self._move_cache
+            cur.placement, self.netlist, rng, self.db_max, self.dummy_max,
+            cache=self._move_cache, junction_cache=self._junction_cache,
         )
         if not candidates:
             return cur
@@ -251,9 +277,10 @@ class CcAnnealer:
             s for s in evaluated
             if not any(dominates(o.objectives, s.objectives) for o in evaluated)
         ]
-        nxt = _choose_next(cur, new_pts, self.archive, self.ranges, temp, rng)
+        nxt = _choose_next(cur, new_pts, self.archive, self.ranges, temp, rng, self._dom_memo)
         for s in new_pts:
-            self.archive.insert(s)
+            if self.archive.insert(s):
+                self._dom_memo.clear()
         return nxt
 
     def run(self, on_iteration=None) -> Archive:

@@ -127,14 +127,16 @@ def lde_mismatch(p: Placement, nl: Netlist) -> Fraction:
     return Fraction(total, L * M)
 
 
-def evaluate(p: Placement, nl: Netlist, *, route_cache: dict | None = None) -> ObjectiveVector:
-    """All five objectives of a placement; pure and deterministic."""
+def evaluate(p: Placement, nl: Netlist, *, route_cache: dict | None = None,
+             junction_cache: dict | None = None) -> ObjectiveVector:
+    """All five objectives of a placement; pure and deterministic.  The
+    caches go to ``routing_cost`` and to the two junction counts."""
     return ObjectiveVector(
         neg_dispersion=float(-dispersion(p)),
         lde_mismatch=float(lde_mismatch(p, nl)),
         routing_cost=routing_cost(p, nl, cache=route_cache),
-        diffusion_breaks=count_diffusion_breaks(p, nl),
-        dummy_count=count_dummies(p, nl),
+        diffusion_breaks=count_diffusion_breaks(p, nl, cache=junction_cache),
+        dummy_count=count_dummies(p, nl, cache=junction_cache),
     )
 
 

@@ -168,15 +168,25 @@ def break_positions(p: Placement, nl: Netlist) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-def count_diffusion_breaks(p: Placement, nl: Netlist) -> int:
-    return len(break_positions(p, nl))
+def count_diffusion_breaks(p: Placement, nl: Netlist, *, cache: dict | None = None) -> int:
+    """``len(break_positions(p, nl))``; with ``cache``, read from
+    ``_junction_counts`` instead."""
+    if cache is None:
+        return len(break_positions(p, nl))
+    return _junction_counts(p, nl, cache)[0]
 
 
-def _gap_orbit(point, rows, cols):
-    # Gap (x, y) sits between columns x and x+1, so the horizontal mirror
-    # sends x to cols - x (not cols + 1 - x as for cells).
-    x, y = point
-    return {(x, y), (cols - x, y), (x, rows + 1 - y), (cols - x, rows + 1 - y)}
+def _close_gaps(breaks, dims: GridDims) -> frozenset[tuple[int, int]]:
+    """The break gaps closed under both mirrors and the 180-degree rotation.
+
+    Gap (x, y) sits between columns x and x+1, so the horizontal mirror
+    sends x to cols - x (not cols + 1 - x as for cells).
+    """
+    rows, cols = dims.rows, dims.cols
+    gaps: set[tuple[int, int]] = set()
+    for x, y in breaks:
+        gaps.update(((x, y), (cols - x, y), (x, rows + 1 - y), (cols - x, rows + 1 - y)))
+    return frozenset(gaps)
 
 
 def dummy_positions(p: Placement, nl: Netlist) -> frozenset[tuple[int, int]]:
@@ -186,16 +196,30 @@ def dummy_positions(p: Placement, nl: Netlist) -> frozenset[tuple[int, int]]:
     rotation, since a lone filler would destroy the very symmetry the
     placement exists for.  Gaps are (x, y) as in ``break_positions``.
     """
-    rows, cols = p.dims.rows, p.dims.cols
-    gaps: set[tuple[int, int]] = set()
-    for point in break_positions(p, nl):
-        gaps |= _gap_orbit(point, rows, cols)
-    return frozenset(gaps)
+    return _close_gaps(break_positions(p, nl), p.dims)
 
 
-def count_dummies(p: Placement, nl: Netlist) -> int:
-    """Dummies required to fill the breaks: the size of the closed gap set."""
-    return len(dummy_positions(p, nl))
+def count_dummies(p: Placement, nl: Netlist, *, cache: dict | None = None) -> int:
+    """Dummies required to fill the breaks: the size of the closed gap set.
+    With ``cache``, read from ``_junction_counts`` instead."""
+    if cache is None:
+        return len(dummy_positions(p, nl))
+    return _junction_counts(p, nl, cache)[1]
+
+
+def _junction_counts(p: Placement, nl: Netlist, cache: dict) -> tuple[int, int]:
+    """(diffusion breaks, dummies) of ``p``, memoised in ``cache`` by cells.
+
+    A miss scans the junctions once and closes that one break set into the
+    dummy gaps, so whichever count is asked for first, both are stored.
+    The counts depend on the cells and the netlist only, so one cache
+    serves one netlist.
+    """
+    counts = cache.get(p.cells)
+    if counts is None:
+        breaks = break_positions(p, nl)
+        counts = cache[p.cells] = (len(breaks), len(_close_gaps(breaks, p.dims)))
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +292,7 @@ def enumerate_perturbations(
     dummy_max: int | None = None,
     *,
     cache: dict | None = None,
+    junction_cache: dict | None = None,
 ) -> list[Placement]:
     """One random mirrored swap plus every label-exchange variant over
     equal-count device pairs, filtered down to admissible CC candidates.
@@ -297,7 +322,9 @@ def enumerate_perturbations(
     the cells, the swap and the netlist only.  So one cache serves any
     bounds, but only one netlist.  The swap is drawn from ``rng`` before the
     lookup, so a hit and a miss consume the same draws, and the bound checks
-    run on every call.
+    run on every call.  ``junction_cache`` is handed to the two count
+    functions as their ``cache``, so a bound check of cells seen before is
+    one lookup; it too serves one netlist only.
     """
     half = p.dims.cells // 2
     spots = [i for i in range(half) if isinstance(p.cells[i], str)]
@@ -317,9 +344,9 @@ def enumerate_perturbations(
 
     out = []
     for cand in candidates:
-        if db_max is not None and count_diffusion_breaks(cand, nl) > db_max:
+        if db_max is not None and count_diffusion_breaks(cand, nl, cache=junction_cache) > db_max:
             continue
-        if dummy_max is not None and count_dummies(cand, nl) > dummy_max:
+        if dummy_max is not None and count_dummies(cand, nl, cache=junction_cache) > dummy_max:
             continue
         out.append(cand)
     return out

@@ -125,22 +125,46 @@ def _objectives_from_json(doc: dict, where: tuple) -> ObjectiveVector:
 
 def report_to_json(r: RunReport) -> str:
     """Serialise a report; byte-stable for a fixed seed and config unless
-    ``wall_clock_s`` is set, in which case it is written too."""
+    ``wall_clock_s`` is set, in which case it is written too.
+
+    The text is ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` of the
+    whole report, with the archive written by ``_archive_json``.  "archive"
+    sorts before every other top-level key, so it comes first.
+    """
     doc = {
         "seed": r.seed,
         "config": r.config,
         "grid": {"rows": r.dims.rows, "cols": r.dims.cols},
         "netlist": r.netlist,
-        "archive": [
-            {"cells": list(s.placement.cells), "objectives": s.objectives._asdict()}
-            for s in r.archive
-        ],
         "selected": r.selected,
         "objective_ranges": [[lo, hi] for lo, hi in r.ranges],
     }
     if r.wall_clock_s is not None:
         doc["wall_clock_s"] = r.wall_clock_s
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    rest = json.dumps(doc, sort_keys=True, indent=2)
+    return '{\n  "archive": ' + _archive_json(r.archive) + "," + rest[1:] + "\n"
+
+
+def _archive_json(archive) -> str:
+    """The members ``{"cells": [...], "objectives": {...}}`` as
+    ``json.dumps(..., sort_keys=True, indent=2)`` lays them out under a
+    top-level key.
+
+    ``json`` encodes with ``indent`` in pure Python but compactly in C.
+    With the item separator "," + line break + indent, the C encoder lays
+    out a list or dict that holds no list or dict exactly as the indenting
+    encoder does.  So each member's cells and objectives are one C call
+    each, and only the two levels above them are joined here.
+    """
+    if not archive:
+        return "[]"
+    encode = json.JSONEncoder(sort_keys=True, separators=(",\n        ", ": ")).encode
+    return "[\n    " + ",\n    ".join([
+        '{\n      "cells": [\n        ' + encode(s.placement.cells)[1:-1]
+        + '\n      ],\n      "objectives": {\n        ' + encode(s.objectives._asdict())[1:-1]
+        + "\n      }\n    }"
+        for s in archive
+    ]) + "\n  ]"
 
 
 def report_from_json(text: str) -> RunReport:

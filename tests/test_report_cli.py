@@ -488,3 +488,71 @@ def test_default_grid_dims():
     assert default_grid_dims(9) == GridDims(3, 3)
     assert default_grid_dims(40) == GridDims(5, 8)
     assert default_grid_dims(29) == GridDims(1, 29)
+
+
+# -- report bytes -----------------------------------------------------------------
+
+
+def _indent_encoded(r):
+    """The report as the pure-Python indenting encoder writes it."""
+    doc = {
+        "seed": r.seed,
+        "config": r.config,
+        "grid": {"rows": r.dims.rows, "cols": r.dims.cols},
+        "netlist": r.netlist,
+        "archive": [{"cells": list(s.placement.cells), "objectives": s.objectives._asdict()}
+                    for s in r.archive],
+        "selected": r.selected,
+        "objective_ranges": [[lo, hi] for lo, hi in r.ranges],
+    }
+    if r.wall_clock_s is not None:
+        doc["wall_clock_s"] = r.wall_clock_s
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("units, rows, cols", [([4, 4], 2, 4), ([2, 2, 4], 3, 4), ([3, 2, 4], 3, 3)])
+@pytest.mark.parametrize("wall_clock_s", [None, 0.125])
+def test_report_bytes_match_indenting_encoder(units, rows, cols, wall_clock_s):
+    from ccplace import current_mirror_netlist
+
+    nl, dims = current_mirror_netlist(units), GridDims(rows, cols)
+    cfg = SaConfig(seed=3)
+    sols = list(run(nl, dims, cfg))
+    r = RunReport(seed=3, config={"seed": 3, "weights": [1.0, 3.0]}, dims=dims,
+                  netlist=netlist_to_dict(nl), archive=sols, selected=len(sols) - 1,
+                  ranges=[(0.0, 1.5)] * 5, wall_clock_s=wall_clock_s)
+    if rows * cols > sum(units):
+        assert any(c is None for s in sols for c in s.placement.cells)
+    assert report_to_json(r) == _indent_encoded(r)
+    r.ranges = []
+    assert report_to_json(r) == _indent_encoded(r)
+
+
+_AWKWARD_NAME = st.lists(st.sampled_from(['"', "\\", ", ", "\n", "é", "漢", " ", "M"]),
+                         min_size=1, max_size=4).map("".join) | st.text(min_size=1, max_size=4)
+
+
+@st.composite
+def _awkward_reports(draw):
+    dims = GridDims(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    names = draw(st.lists(_AWKWARD_NAME, min_size=1, max_size=3, unique=True))
+    cells = st.lists(st.sampled_from([*names, None]), min_size=dims.cells, max_size=dims.cells)
+    vectors = st.builds(ObjectiveVector, st.floats(), st.floats(), *[st.integers(0, 10**6)] * 3)
+    archive = draw(st.lists(st.builds(Solution, cells.map(lambda c: Placement(dims, tuple(c))),
+                                      vectors), max_size=3))
+    return RunReport(
+        seed=draw(st.integers(0, 2**32)),
+        config={name: draw(st.integers()) for name in names},
+        dims=dims,
+        netlist=netlist_to_dict(Netlist(tuple(DeviceSpec(n, 1, "G", "S", "D") for n in names))),
+        archive=archive,
+        selected=0,
+        ranges=draw(st.lists(st.tuples(st.floats(), st.floats()), max_size=5)),
+        wall_clock_s=draw(st.none() | st.floats(0, 1e6)),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(_awkward_reports())
+def test_report_bytes_match_indenting_encoder_on_awkward_names(r):
+    assert report_to_json(r) == _indent_encoded(r)
